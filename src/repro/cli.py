@@ -168,7 +168,7 @@ DEFAULT_BREAKER_THRESHOLD = 3
 
 def _configure_runtime(args: argparse.Namespace) -> ExperimentEngine:
     """Apply the shared ``--workers``/``--no-cache``/``--cache-dir``/
-    ``--trace``/``--journal``/``--supervise``/``--breaker`` flags."""
+    ``--trace``/``--journal``/``--breaker`` flags."""
     no_cache = getattr(args, "no_cache", False)
     cache_dir = getattr(args, "cache_dir", None)
     if no_cache or cache_dir:
@@ -207,10 +207,7 @@ def _configure_runtime(args: argparse.Namespace) -> ExperimentEngine:
     if durable.get_current_journal() is not None:
         durable.install_sigterm_handler()
     _recount_resume_faults()
-    return ExperimentEngine(
-        workers=getattr(args, "workers", None),
-        supervise=getattr(args, "supervise", None) or None,
-        batch=getattr(args, "batch", None))
+    return ExperimentEngine(workers=getattr(args, "workers", None))
 
 
 def _recount_resume_faults() -> None:
@@ -444,14 +441,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     """Profile the pipeline and write a ``BENCH_*.json`` trajectory file.
 
     Phases: artifact warm-up (compile + mine through the cache), the
-    attack-surface sweep run cold (cache bypassed) serially, in
-    parallel, and in parallel with job batching — the honest engine
-    speedups — a native-execution phase timing the interpreter's
-    compiled-block hot path, then a cache-populating pass and a
-    pure-hit warm pass recording the memoized path's speedup.
+    attack-surface sweep run cold (cache bypassed) serially and in
+    parallel — the honest engine speedup — a native-execution phase
+    timing the interpreter's compiled-block hot path, then a
+    cache-populating pass and a pure-hit warm pass recording the
+    memoized path's speedup.
 
     ``--workers`` defaults to one per core here (serial fan-out makes
-    the parallel phases meaningless); both the requested and the
+    the parallel phase meaningless); both the requested and the
     effective worker counts are recorded in the trajectory file.
     """
     _configure_runtime(args)
@@ -464,15 +461,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
               f"available: {', '.join(sorted(WORKLOADS))}", file=sys.stderr)
         return 2
     cache = get_cache()
-    supervise = getattr(args, "supervise", None) or None
     requested_workers = args.workers          # None = defaulted, 0 = auto
     serial = ExperimentEngine(workers=1)
-    parallel = ExperimentEngine(workers=args.workers or 0,
-                                supervise=supervise)
-    batched = ExperimentEngine(workers=args.workers or 0,
-                               supervise=supervise,
-                               batch=(args.batch
-                                      if args.batch is not None else 0))
+    parallel = ExperimentEngine(workers=args.workers or 0)
     profiler = PhaseProfiler(args.label)
 
     def sweep(which: ExperimentEngine):
@@ -504,10 +495,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     with profiler.phase("sweep-parallel-cold", workers=parallel.workers):
         with cache.bypass():
             sweep(parallel)
-    with profiler.phase("sweep-parallel-batched", workers=batched.workers,
-                        batch=batched.batch):
-        with cache.bypass():
-            sweep(batched)
     with profiler.phase("sweep-populate", workers=1):
         sweep(serial)            # first cache-on pass: miss-and-store
     with profiler.phase("sweep-warm", workers=1):
@@ -522,7 +509,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         workers_requested=("auto(cpu_count)" if requested_workers is None
                            else requested_workers),
         workers_effective=parallel.workers,
-        batch=batched.batch,
         speedup=round(serial_cold / parallel_cold, 3) if parallel_cold else None,
         warm_speedup=round(serial_cold / profiler.seconds_of("sweep-warm"), 3)
         if profiler.seconds_of("sweep-warm") else None,
@@ -1090,11 +1076,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fan experiment jobs out over N processes "
                             "(0 = one per core; default: serial, or "
                             "$REPRO_WORKERS)")
-        p.add_argument("--batch", type=int, default=None, metavar="B",
-                       help="group B jobs per pool submission to "
-                            "amortize spawn/IPC cost (0 = one group "
-                            "per worker; default: unbatched, or "
-                            "$REPRO_BATCH)")
         p.add_argument("--no-cache", action="store_true",
                        help="bypass the on-disk artifact cache")
         p.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -1108,10 +1089,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a crash-consistent run journal under "
                             "DIR (or set $REPRO_JOURNAL); continue an "
                             "interrupted run with 'repro resume'")
-        p.add_argument("--supervise", action="store_true",
-                       help="run parallel jobs under the worker "
-                            "supervisor (heartbeats + hung-worker "
-                            "replacement; or set $REPRO_SUPERVISE=1)")
         p.add_argument("--breaker", type=int, default=None, metavar="N",
                        help="open a workload's circuit breaker after N "
                             "consecutive terminal failures (default: "

@@ -23,7 +23,7 @@ kind                      hook site                   recovery
 ``job.delay``             engine job execution        per-attempt timeout
                                                       escalation
 ``decode.flush``          interpreter decode cache    transparent re-decode
-``worker.hang``           supervised-pool dispatch    watchdog kill +
+``worker.hang``           engine pool dispatch        watchdog kill +
                                                       replace + retry
 ``orchestrator.kill``     journaled job completion    ``repro resume``
                                                       replays the journal

@@ -1,4 +1,4 @@
-"""Fan-out experiment engine: a process-pool job runner.
+"""Fan-out experiment engine: a supervised process-pool job runner.
 
 Every experiment driver in :mod:`repro.analysis.experiments` decomposes
 into independent jobs (per benchmark, per seed, per configuration).  The
@@ -7,6 +7,10 @@ engine runs a job list across cores with:
 * **deterministic result ordering** — results come back in submission
   order regardless of completion order, so a parallel sweep is
   byte-identical to the serial one;
+* **one supervised pool** — with ``workers > 1`` every job runs on a
+  :class:`~repro.runtime.supervisor.SupervisedPool` worker that
+  heartbeats to the parent, so a hung worker is killed and replaced and
+  its live state shows in ``repro top``;
 * **worker-crash isolation** — a job that raises (or times out, or whose
   worker process dies) produces a failed :class:`JobResult`; the rest of
   the sweep completes and reports normally;
@@ -33,7 +37,6 @@ import os
 import signal
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -43,14 +46,8 @@ from ..obs import context as obs
 from . import durable
 from . import supervisor as supervision
 
-try:                                            # not exported on Windows
-    from concurrent.futures.process import BrokenProcessPool
-except ImportError:  # pragma: no cover
-    BrokenProcessPool = RuntimeError            # type: ignore[misc]
-
 ENV_WORKERS = "REPRO_WORKERS"
 ENV_RETRIES = "REPRO_RETRIES"
-ENV_BATCH = "REPRO_BATCH"
 
 #: error prefix marking a job that was never executed this sweep
 #: because its key was quarantined by an earlier exhausted retry cycle
@@ -200,24 +197,6 @@ def _execute_plain(job: Job, index: int, attempt: int = 0) -> JobResult:
             signal.signal(signal.SIGALRM, previous_handler)
 
 
-def _worker_entry(job: Job, index: int, attempt: int = 0) -> JobResult:
-    """Top-level pool entry point (must be picklable by reference)."""
-    return _execute(job, index, attempt)
-
-
-def _worker_group_entry(pairs: Sequence[Tuple[int, Job]],
-                        attempt: int = 0) -> List[JobResult]:
-    """Pool entry point for a batched job group.
-
-    Runs each job through the exact same :func:`_execute` wrapper the
-    unbatched path uses — one observability capture, one span, and one
-    (deterministically keyed) fault draw per *job* — so per-job results
-    are indistinguishable from one-future-per-job submission; only the
-    process-spawn/IPC cost is amortized across the group.
-    """
-    return [_execute(job, index, attempt) for index, job in pairs]
-
-
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Worker-count policy: explicit > ``REPRO_WORKERS`` > serial.
 
@@ -243,24 +222,8 @@ def resolve_retries(retries: Optional[int] = None) -> int:
     return retries
 
 
-def resolve_batch(batch: Optional[int] = None) -> int:
-    """Batch-size policy: explicit > ``REPRO_BATCH`` > unbatched.
-
-    ``0`` (or the env value ``auto``) means one group per worker, sized
-    at sweep time; ``1`` disables batching (the legacy path).
-    """
-    if batch is None:
-        raw = os.environ.get(ENV_BATCH, "").strip().lower()
-        if not raw:
-            return 1
-        batch = 0 if raw == "auto" else int(raw)
-    if batch < 0:
-        raise ConfigError(f"batch must be >= 0, got {batch}")
-    return batch
-
-
 class ExperimentEngine:
-    """Runs job lists serially or across a process pool.
+    """Runs job lists inline or across a supervised process pool.
 
     With ``retries > 0`` the engine self-heals: failed jobs are re-run
     up to ``retries`` more times with exponential ``backoff`` sleeps and
@@ -275,19 +238,11 @@ class ExperimentEngine:
                  job_timeout: Optional[float] = None,
                  retries: Optional[int] = None,
                  backoff: float = 0.05,
-                 timeout_escalation: float = 2.0,
-                 supervise: Optional[bool] = None,
-                 batch: Optional[int] = None):
+                 timeout_escalation: float = 2.0):
         self.workers = resolve_workers(workers)
         #: default per-job timeout applied when a job doesn't set one
         self.job_timeout = job_timeout
         self.retries = resolve_retries(retries)
-        #: jobs per pool submission on the plain parallel path; 1 =
-        #: one future per job, 0 = one group per worker (sized per sweep)
-        self.batch = resolve_batch(batch)
-        #: run the parallel path under a SupervisedPool (heartbeats,
-        #: hung-worker kill-and-replace) instead of a bare process pool
-        self.supervise = supervision.resolve_supervise(supervise)
         if backoff < 0:
             raise ConfigError(f"backoff must be >= 0, got {backoff}")
         if timeout_escalation < 1.0:
@@ -616,7 +571,7 @@ class ExperimentEngine:
         if not pairs:
             return []
         journal = durable.get_current_journal()
-        if not self.parallel or len(pairs) == 1:
+        if not self.parallel:
             results = []
             for index, job in pairs:
                 if durable.interrupt_requested():
@@ -632,105 +587,12 @@ class ExperimentEngine:
         if journal is not None:
             for _index, job in pairs:
                 journal.append("job_started", key=job.key, attempt=attempt)
-        if self.supervise:
-            # The supervised pool owns per-job heartbeats and hung-worker
-            # replacement; grouping would blunt both, so it stays
-            # one-job-per-dispatch regardless of ``batch``.
-            pool = supervision.SupervisedPool(
-                workers=min(self.workers, len(pairs)))
-            done = pool.run(pairs, attempt, on_result=on_result,
-                            should_stop=durable.interrupt_requested)
-            self.supervisor_restarts += pool.restarts
-            return [done[index] for index, _ in pairs if index in done]
-        return self._run_pool(pairs, attempt, on_result)
-
-    def _group_size(self, pair_count: int, max_workers: int) -> int:
-        """Jobs per pool submission for this sweep.
-
-        ``batch == 0`` (auto) hands each worker one contiguous group;
-        anything larger than 1 is used as-is.  Grouping amortizes
-        process-spawn and argument-pickling cost over many small jobs
-        without changing any per-job outcome (see
-        :func:`_worker_group_entry`).
-        """
-        if self.batch == 0:
-            return -(-pair_count // max_workers)
-        return self.batch
-
-    def _run_pool(self, pairs: Sequence[Tuple[int, Job]],
-                  attempt: int = 0, on_result=None) -> List[JobResult]:
-        jobs_by_index = dict(pairs)
-        by_index: Dict[int, JobResult] = {}
-        max_workers = min(self.workers, len(pairs))
-        #: future -> list of indices it will resolve (singleton when
-        #: unbatched); kept as a list so a broken worker can fail every
-        #: job it held, not just one
-        pending: Dict[Any, List[int]] = {}
-        group_size = self._group_size(len(pairs), max_workers)
-
-        def settle(index: int, result: JobResult) -> None:
-            by_index[index] = result
-            if on_result is not None:
-                on_result(result, attempt)
-
-        def settle_error(indices: Sequence[int], message: str) -> None:
-            for index in indices:
-                settle(index, JobResult(
-                    key=jobs_by_index[index].key, index=index,
-                    error=message))
-
-        groups: List[Sequence[Tuple[int, Job]]]
-        if group_size > 1:
-            groups = [pairs[pos:pos + group_size]
-                      for pos in range(0, len(pairs), group_size)]
-        else:
-            groups = [(pair,) for pair in pairs]
-
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            for group in groups:
-                indices = [index for index, _ in group]
-                try:
-                    if len(group) == 1:
-                        index, job = group[0]
-                        future = pool.submit(_worker_entry, job, index,
-                                             attempt)
-                    else:
-                        future = pool.submit(_worker_group_entry, group,
-                                             attempt)
-                except (BrokenProcessPool, RuntimeError) as exc:
-                    settle_error(indices, f"pool broken at submit: {exc}")
-                    continue
-                pending[future] = indices
-            while pending:
-                if durable.interrupt_requested():
-                    # drain in-flight work, drop what never started
-                    for future in list(pending):
-                        if future.cancel():
-                            pending.pop(future)
-                    if not pending:
-                        break
-                done, _ = wait(list(pending), timeout=0.5,
-                               return_when=FIRST_COMPLETED)
-                for future in done:
-                    indices = pending.pop(future)
-                    try:
-                        outcome = future.result()
-                    except BrokenProcessPool as exc:
-                        # A worker died hard (e.g. os._exit/segfault): the
-                        # jobs it held are lost, the sweep is not.
-                        settle_error(indices,
-                                     f"worker process died: {exc}")
-                        continue
-                    except Exception as exc:
-                        settle_error(indices,
-                                     f"{type(exc).__name__}: {exc}")
-                        continue
-                    if isinstance(outcome, JobResult):
-                        settle(outcome.index, outcome)
-                    else:
-                        for result in outcome:
-                            settle(result.index, result)
-        return [by_index[index] for index, _ in pairs if index in by_index]
+        pool = supervision.SupervisedPool(
+            workers=min(self.workers, len(pairs)))
+        done = pool.run(pairs, attempt, on_result=on_result,
+                        should_stop=durable.interrupt_requested)
+        self.supervisor_restarts += pool.restarts
+        return [done[index] for index, _ in pairs if index in done]
 
 
 def journal_breaker_transitions(breaker, journal) -> None:

@@ -40,6 +40,7 @@ kill-and-replace events, ``breaker.state`` gauges are 1 while open.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -55,7 +56,6 @@ from . import durable
 #: default stall budget for jobs with no explicit timeout
 DEFAULT_HANG_TIMEOUT = 30.0
 
-ENV_SUPERVISE = "REPRO_SUPERVISE"
 ENV_BREAKER_THRESHOLD = "REPRO_BREAKER_THRESHOLD"
 ENV_BREAKER_COOLDOWN = "REPRO_BREAKER_COOLDOWN"
 ENV_HANG_TIMEOUT = "REPRO_HANG_TIMEOUT"
@@ -259,13 +259,6 @@ def resolve_breaker_cooldown(cooldown: Optional[float] = None,
     return cooldown
 
 
-def resolve_supervise(supervise: Optional[bool] = None) -> bool:
-    """Supervision policy: explicit > ``REPRO_SUPERVISE`` > off."""
-    if supervise is not None:
-        return supervise
-    return os.environ.get(ENV_SUPERVISE, "").strip() in ("1", "true", "on")
-
-
 def resolve_hang_timeout(timeout: Optional[float] = None,
                          default: float = DEFAULT_HANG_TIMEOUT) -> float:
     """Stall budget policy: explicit > ``REPRO_HANG_TIMEOUT`` > default."""
@@ -306,8 +299,9 @@ def _supervised_worker(wid: int, tasks, conn,
     SIGKILL here can never wedge a sibling.  An injected hang
     (``hang_seconds > 0``) silences the heartbeat and stalls *before*
     running the job — the watchdog is expected to kill this process; if
-    supervision is somehow off, the worker wakes up and runs the job
-    anyway.
+    it somehow does not, the worker wakes up and runs the job anyway.
+    A result that cannot be pickled comes home as that job's error; the
+    worker stays up for the next job.
     """
     from .engine import _execute
     stop = threading.Event()
@@ -319,7 +313,7 @@ def _supervised_worker(wid: int, tasks, conn,
             with send_lock:
                 conn.send(message)
             return True
-        except Exception:                  # parent went away
+        except OSError:                    # parent went away
             return False
 
     def beat() -> None:
@@ -341,8 +335,14 @@ def _supervised_worker(wid: int, tasks, conn,
                 hung.set()
                 time.sleep(hang_seconds)
                 hung.clear()
-            if not send(("result", wid, index,
-                         _execute(job, index, attempt))):
+            result = _execute(job, index, attempt)
+            try:
+                sent = send(("result", wid, index, result))
+            except Exception as exc:       # the value would not pickle
+                sent = send(("result", wid, index, dataclasses.replace(
+                    result, value=None,
+                    error=f"{type(exc).__name__}: {exc}")))
+            if not sent:
                 break
     finally:
         stop.set()

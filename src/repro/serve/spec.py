@@ -175,6 +175,10 @@ def _check_unknown(kind: str, params: Dict[str, Any],
             f"unknown {kind} param(s): {', '.join(sorted(unknown))}")
 
 
+#: experiments whose drivers are deterministic without a seed
+_UNSEEDED_EXPERIMENTS = ("fig6", "fig7")
+
+
 def _validate_params(kind: str, params: Dict[str, Any]) -> None:
     if kind == "compile":
         _check_unknown(kind, params, ("workload",))
@@ -206,6 +210,14 @@ def _validate_params(kind: str, params: Dict[str, Any]) -> None:
             raise ConfigError(
                 f"unknown experiment {name!r}; available: "
                 f"{', '.join(sorted(EXPERIMENT_RUNNERS))}")
+        if "seed" in params:
+            if name in _UNSEEDED_EXPERIMENTS:
+                raise ConfigError(f"experiment {name!r} takes no 'seed'")
+            if isinstance(params["seed"], bool) \
+                    or not isinstance(params["seed"], int):
+                raise ConfigError(
+                    f"experiment 'seed' must be an integer, "
+                    f"got {params['seed']!r}")
         benchmarks = params.get("benchmarks")
         if benchmarks is not None:
             if not isinstance(benchmarks, list) or not benchmarks:
@@ -504,9 +516,14 @@ _KIND_RUNNERS: Dict[str, Callable[[Dict[str, Any], Any], Dict[str, Any]]] = {
 # ----------------------------------------------------------------------
 # Experiment payloads (plain-data mirrors of the analysis drivers)
 # ----------------------------------------------------------------------
-def _benchmarks_of(params: Dict[str, Any]) -> Optional[tuple]:
-    benchmarks = params.get("benchmarks")
-    return tuple(benchmarks) if benchmarks else None
+def _driver_kwargs(params: Dict[str, Any], engine) -> Dict[str, Any]:
+    """The request's ``benchmarks`` and ``seed``, as driver keywords."""
+    kwargs: Dict[str, Any] = {"engine": engine}
+    if params.get("benchmarks"):
+        kwargs["benchmarks"] = tuple(params["benchmarks"])
+    if "seed" in params:
+        kwargs["seed"] = params["seed"]
+    return kwargs
 
 
 def _rows_payload(rows, extra_of=None) -> Dict[str, Any]:
@@ -519,44 +536,6 @@ def _rows_payload(rows, extra_of=None) -> Dict[str, Any]:
     return {"rows": payload_rows}
 
 
-def _exp_fig3(params, engine):
-    from ..analysis import experiments
-    kwargs = {"engine": engine}
-    benchmarks = _benchmarks_of(params)
-    if benchmarks:
-        kwargs["benchmarks"] = benchmarks
-    return _rows_payload(
-        experiments.fig3_classic_rop(**kwargs),
-        lambda r: {"obfuscated_fraction": r.obfuscated_fraction})
-
-
-def _exp_fig4(params, engine):
-    from ..analysis import experiments
-    kwargs = {"engine": engine}
-    benchmarks = _benchmarks_of(params)
-    if benchmarks:
-        kwargs["benchmarks"] = benchmarks
-    return _rows_payload(experiments.fig4_bruteforce_surface(**kwargs))
-
-
-def _exp_fig5(params, engine):
-    from ..analysis import experiments
-    kwargs = {"engine": engine}
-    benchmarks = _benchmarks_of(params)
-    if benchmarks:
-        kwargs["benchmarks"] = benchmarks
-    return _rows_payload(experiments.fig5_jitrop(**kwargs))
-
-
-def _exp_fig6(params, engine):
-    from ..analysis import experiments
-    kwargs = {"engine": engine}
-    benchmarks = _benchmarks_of(params)
-    if benchmarks:
-        kwargs["benchmarks"] = benchmarks
-    return _rows_payload(experiments.fig6_migration_safety(**kwargs))
-
-
 def _exp_fig7(params, engine):
     from ..analysis import experiments
     lengths = list(experiments.CHAIN_LENGTHS)
@@ -567,36 +546,34 @@ def _exp_fig7(params, engine):
 def _exp_fig8(params, engine):
     from ..analysis import experiments
     probabilities = list(experiments.PROBABILITY_STEPS)
-    kwargs = {"engine": engine, "probabilities": tuple(probabilities)}
-    benchmarks = _benchmarks_of(params)
-    if benchmarks:
-        kwargs["benchmarks"] = benchmarks
     return {"probabilities": probabilities,
-            "series": experiments.fig8_diversification(**kwargs)}
+            "series": experiments.fig8_diversification(
+                probabilities=tuple(probabilities),
+                **_driver_kwargs(params, engine))}
 
 
-def _exp_rows(driver_name):
+def _exp_rows(driver_name, extra_of=None):
     def run(params, engine):
         from ..analysis import experiments
-        kwargs = {"engine": engine}
-        benchmarks = _benchmarks_of(params)
-        if benchmarks:
-            kwargs["benchmarks"] = benchmarks
-        return _rows_payload(getattr(experiments, driver_name)(**kwargs))
+        driver = getattr(experiments, driver_name)
+        return _rows_payload(driver(**_driver_kwargs(params, engine)),
+                             extra_of)
     return run
 
 
 def _exp_httpd(params, engine):
     from ..analysis import experiments
-    return {"study": _plain(experiments.httpd_case_study())}
+    return {"study": _plain(experiments.httpd_case_study(
+        seed=params.get("seed", 0)))}
 
 
 EXPERIMENT_RUNNERS: Dict[str, Callable[[Dict[str, Any], Any],
                                        Dict[str, Any]]] = {
-    "fig3": _exp_fig3,
-    "fig4": _exp_fig4,
-    "fig5": _exp_fig5,
-    "fig6": _exp_fig6,
+    "fig3": _exp_rows("fig3_classic_rop", lambda r: {
+        "obfuscated_fraction": r.obfuscated_fraction}),
+    "fig4": _exp_rows("fig4_bruteforce_surface"),
+    "fig5": _exp_rows("fig5_jitrop"),
+    "fig6": _exp_rows("fig6_migration_safety"),
     "fig7": _exp_fig7,
     "fig8": _exp_fig8,
     "fig9": _exp_rows("fig9_opt_levels"),

@@ -189,8 +189,7 @@ def check_function_cfg(binary, recovered: RecoveredFunction,
             "symbol table records a block the IR does not contain",
             function=name, block=label, isa=recovered.isa_name))
 
-    address_to_label = {block.start: label
-                        for label, block in recovered.blocks.items()}
+    starts = {block.start for block in recovered.blocks.values()}
     order = [label for label, _, _ in per_isa.block_bounds()]
     for index, label in enumerate(order):
         block = recovered.blocks.get(label)
@@ -198,21 +197,27 @@ def check_function_cfg(binary, recovered: RecoveredFunction,
             continue
         if label not in {blk.label for blk in fn.blocks}:
             continue
-        expected = set(fn.block(label).successors())
-        native: Set[str] = set()
-        for target in block.edge_targets:
-            target_label = address_to_label.get(target)
-            if target_label is not None:
-                native.add(target_label)
+        # Edges are compared by address, not label: an empty block
+        # starts where the next one does, so a branch to either is the
+        # same edge in the bytes.
+        successors = sorted(fn.block(label).successors())
+        expected = {per_isa.block_addresses.get(succ) for succ in successors}
+        native = {target for target in block.edge_targets
+                  if target in starts}
         if block.falls_through and index + 1 < len(order):
-            native.add(order[index + 1])
+            native.add(block.end)
         if native != expected:
             findings.append(Finding(
                 "HIP103",
-                f"recovered successors {sorted(native)} disagree with IR "
-                f"successors {sorted(expected)}",
+                f"recovered successors at {_hexes(native)} disagree with "
+                f"IR successors {successors} at {_hexes(expected)}",
                 function=name, block=label, isa=recovered.isa_name,
                 address=block.start))
+
+
+def _hexes(addresses: Set[Optional[int]]) -> List[str]:
+    return sorted(f"{address:#x}" for address in addresses
+                  if address is not None)
 
 
 def check_function_ranges(binary, isa_name: str,

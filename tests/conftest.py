@@ -20,8 +20,7 @@ def _hermetic_artifact_cache(tmp_path_factory):
     previous = {name: os.environ.get(name)
                 for name in ("REPRO_CACHE_DIR", "REPRO_NO_CACHE",
                              "REPRO_WORKERS", "REPRO_TRACE",
-                             "REPRO_JOURNAL", "REPRO_SUPERVISE",
-                             "REPRO_BREAKER_THRESHOLD",
+                             "REPRO_JOURNAL", "REPRO_BREAKER_THRESHOLD",
                              "REPRO_BREAKER_COOLDOWN",
                              "REPRO_HANG_TIMEOUT", "REPRO_FAULTS")}
     os.environ["REPRO_CACHE_DIR"] = str(root)

@@ -114,8 +114,7 @@ class TestBench:
         assert phase_names == ["compile", "mine", "verify-all",
                                "transpile-all",
                                "exec-native", "sweep-serial-cold",
-                               "sweep-parallel-cold",
-                               "sweep-parallel-batched", "sweep-populate",
+                               "sweep-parallel-cold", "sweep-populate",
                                "sweep-warm"]
         assert payload["benchmarks"] == ["mcf"]
         assert payload["host"]["cpu_count"] >= 1
@@ -123,7 +122,7 @@ class TestBench:
         # requested and the effective counts
         assert payload["workers_requested"] == "auto(cpu_count)"
         assert payload["workers_effective"] == payload["workers"]
-        assert payload["batch"] == 0
+        assert "batch" not in payload
         assert "cache" in payload and "hit_rate" in payload["cache"]
         assert payload["speedup"] is None or payload["speedup"] > 0
         # the warm sweep must beat the cold one through the cache
@@ -133,10 +132,10 @@ class TestBench:
 class TestDurableFlags:
     def test_parser_accepts_journal_flags(self):
         args = build_parser().parse_args(
-            ["experiment", "fig3", "--journal", "/tmp/j", "--supervise",
+            ["experiment", "fig3", "--journal", "/tmp/j",
              "--breaker", "2", "--force"])
         assert args.journal == "/tmp/j"
-        assert args.supervise and args.force
+        assert args.force
         assert args.breaker == 2
 
     def test_runs_without_directory_errors(self, capsys):

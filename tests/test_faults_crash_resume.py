@@ -37,8 +37,7 @@ def _run_cli(args, env=None, timeout=180):
     merged = dict(os.environ)
     merged["PYTHONPATH"] = REPO_SRC
     for name in ("REPRO_FAULTS", "REPRO_JOURNAL", "REPRO_RETRIES",
-                 "REPRO_SUPERVISE", "REPRO_HANG_TIMEOUT", "REPRO_TRACE",
-                 "REPRO_WORKERS"):
+                 "REPRO_HANG_TIMEOUT", "REPRO_TRACE", "REPRO_WORKERS"):
         merged.pop(name, None)
     merged.update(env or {})
     return subprocess.run(
@@ -209,7 +208,7 @@ class TestChaosCrashResume:
             self, tmp_path, serial_digest):
         env = {"REPRO_FAULTS": "seed=11;worker.hang=0.15",
                "REPRO_RETRIES": "2", "REPRO_HANG_TIMEOUT": "1"}
-        proc = _run_cli([*self.CHAOS, "--workers", "2", "--supervise",
+        proc = _run_cli([*self.CHAOS, "--workers", "2",
                          "--cache-dir", str(tmp_path / "cache")],
                         env=env, timeout=300)
         assert proc.returncode == 0, proc.stdout + proc.stderr

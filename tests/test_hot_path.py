@@ -1,27 +1,15 @@
-"""Hot-path coverage: compiled-block dispatch, chaining, invalidation,
-and engine job batching.
+"""Hot-path coverage: compiled-block dispatch, chaining, invalidation.
 
 The interpreter's ``run()`` fast path compiles basic blocks into host
 closures and chains them; these tests pin the cache-coherence contract
 (SMC writes and chaos decode flushes drop exactly the right blocks) and
 prove the compiled path is observationally identical to the per-step
-loop.  The engine tests pin that batched submission is indistinguishable
-from one-future-per-job.
+loop.
 """
-
-import os
-
-import pytest
 
 from repro.isa import Assembler, Cond, Imm, Instruction, Label, Op, Reg, \
     X86LIKE
 from repro.machine import CPUState, Interpreter, Memory, OperatingSystem
-from repro.runtime.engine import (
-    ENV_BATCH,
-    ExperimentEngine,
-    Job,
-    resolve_batch,
-)
 
 
 def _countdown_machine(iterations=200, base=0x1000):
@@ -191,78 +179,3 @@ class TestCompiledBlockInvalidation:
         assert fresh is not None and fresh is not body
         assert interp.cpu.get(0) != 20100
 
-
-# ---------------------------------------------------------------------
-# Engine job batching
-# ---------------------------------------------------------------------
-def _square(x):
-    return x * x
-
-
-def _boom_on_seven(x):
-    if x == 7:
-        raise ValueError("injected failure")
-    return x * x
-
-
-def _pid_tag(x):
-    return (x, os.getpid())
-
-
-class TestEngineBatching:
-    def test_resolve_batch_policy(self, monkeypatch):
-        monkeypatch.delenv(ENV_BATCH, raising=False)
-        assert resolve_batch(None) == 1            # default: unbatched
-        assert resolve_batch(4) == 4
-        assert resolve_batch(0) == 0
-        monkeypatch.setenv(ENV_BATCH, "auto")
-        assert resolve_batch(None) == 0
-        monkeypatch.setenv(ENV_BATCH, "3")
-        assert resolve_batch(None) == 3
-        from repro.errors import ConfigError
-        with pytest.raises(ConfigError):
-            resolve_batch(-1)
-
-    def test_batched_results_identical_to_unbatched(self):
-        jobs = [Job(key=f"sq:{x}", fn=_boom_on_seven, args=(x,))
-                for x in range(17)]
-
-        def digest(results):
-            return [(r.key, r.index, r.value, r.ok) for r in results]
-
-        serial = digest(ExperimentEngine(workers=1).run(jobs))
-        for batch in (0, 1, 3, 100):
-            engine = ExperimentEngine(workers=2, batch=batch)
-            assert digest(engine.run(jobs)) == serial
-
-    def test_group_failure_isolated_per_job(self):
-        # One raising job inside a batch fails only itself.
-        jobs = [Job(key=f"j:{x}", fn=_boom_on_seven, args=(x,))
-                for x in range(10)]
-        results = ExperimentEngine(workers=2, batch=0).run(jobs)
-        assert [r.ok for r in results] == [x != 7 for x in range(10)]
-        assert results[7].error.startswith("ValueError")
-
-    def test_auto_batch_groups_jobs_per_worker(self):
-        # With batch=0 and 2 workers, 8 jobs ride in 2 submissions: at
-        # most two distinct worker pids appear, and each pid hosts a
-        # full contiguous group.
-        jobs = [Job(key=f"p:{x}", fn=_pid_tag, args=(x,))
-                for x in range(8)]
-        results = ExperimentEngine(workers=2, batch=0).run(jobs)
-        pids = [r.value[1] for r in results]
-        assert len(set(pids)) <= 2
-        assert pids[:4] == [pids[0]] * 4           # first group together
-        assert pids[4:] == [pids[4]] * 4           # second group together
-
-    def test_explicit_batch_chunking(self):
-        jobs = [Job(key=f"p:{x}", fn=_pid_tag, args=(x,))
-                for x in range(9)]
-        results = ExperimentEngine(workers=2, batch=4).run(jobs)
-        values = [r.value[0] for r in results]
-        assert values == list(range(9))            # order preserved
-        # chunks of 4 stay on one worker apiece
-        for chunk_start in (0, 4):
-            chunk_pids = {r.value[1]
-                          for r in results[chunk_start:chunk_start + 4]}
-            assert len(chunk_pids) == 1

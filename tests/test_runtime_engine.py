@@ -44,6 +44,10 @@ def _pid_tag(x):
     return (x, os.getpid())
 
 
+def _make_lambda():
+    return lambda: None
+
+
 class TestSerial:
     def test_values_in_submission_order(self):
         engine = ExperimentEngine(workers=1)
@@ -112,15 +116,38 @@ class TestParallel:
         """A worker dying hard fails its job, not the whole run."""
         engine = ExperimentEngine(workers=2)
         results = engine.run(
-            [Job(key=f"sq:{x}", fn=_square, args=(x,)) for x in range(3)]
-            + [Job(key="die", fn=_hard_exit)])
-        assert len(results) == 4
-        assert [r.key for r in results] == ["sq:0", "sq:1", "sq:2", "die"]
-        assert not results[3].ok
-        # the sweep reported every job and did not raise; jobs that ran
-        # before the pool broke kept their values
-        assert all(r.value == r.index ** 2
-                   for r in results[:3] if r.ok)
+            [Job(key="die", fn=_hard_exit)]
+            + [Job(key=f"sq:{x}", fn=_slow_square, args=(x, 0.05))
+               for x in range(1, 7)])
+        assert [r.key for r in results] == \
+            ["die"] + [f"sq:{x}" for x in range(1, 7)]
+        assert not results[0].ok
+        assert "exit 13" in results[0].error
+        assert [r.value for r in results[1:]] == [x * x for x in range(1, 7)]
+        assert engine.supervisor_restarts == 1
+
+    def test_lone_retry_stays_isolated(self):
+        """A retry of one job still runs in a worker, never inline."""
+        engine = ExperimentEngine(workers=2, retries=1, backoff=0.0)
+        results = engine.run([Job(key="die", fn=_hard_exit),
+                              Job(key="sq", fn=_square, args=(2,))])
+        assert "exit 13" in results[0].error
+        assert results[0].attempts == 2
+        assert results[1].value == 4
+        assert engine.supervisor_restarts == 2
+
+    def test_unpicklable_result_keeps_its_error(self):
+        """A value that cannot cross the pipe fails its job with the
+        pickling error; the worker survives and nothing restarts."""
+        engine = ExperimentEngine(workers=2)
+        results = engine.run([Job(key="lambda", fn=_make_lambda)]
+                             + [Job(key=f"sq:{x}", fn=_square, args=(x,))
+                                for x in range(3)])
+        assert not results[0].ok
+        assert "pickle" in results[0].error
+        assert "died" not in results[0].error
+        assert [r.value for r in results[1:]] == [0, 1, 4]
+        assert engine.supervisor_restarts == 0
 
     def test_uses_multiple_processes(self):
         engine = ExperimentEngine(workers=2)

@@ -18,7 +18,6 @@ from repro.runtime.supervisor import (
     SupervisedPool,
     resolve_breaker_threshold,
     resolve_hang_timeout,
-    resolve_supervise,
 )
 
 
@@ -223,14 +222,6 @@ class TestResolvers:
         with pytest.raises(ConfigError):
             resolve_breaker_threshold(-2)
 
-    def test_supervise_policy(self, monkeypatch):
-        monkeypatch.delenv(supervisor.ENV_SUPERVISE, raising=False)
-        assert resolve_supervise(None) is False
-        assert resolve_supervise(True) is True
-        monkeypatch.setenv(supervisor.ENV_SUPERVISE, "1")
-        assert resolve_supervise(None) is True
-        assert resolve_supervise(False) is False     # explicit beats env
-
     def test_hang_timeout_policy(self, monkeypatch):
         monkeypatch.delenv(supervisor.ENV_HANG_TIMEOUT, raising=False)
         assert resolve_hang_timeout(None) == supervisor.DEFAULT_HANG_TIMEOUT
@@ -305,17 +296,9 @@ class TestSupervisedPool:
 # Engine integration
 # ---------------------------------------------------------------------
 class TestEngineSupervised:
-    def test_supervised_engine_matches_plain_engine(self):
-        jobs = [Job(key=f"sq:{i}", fn=_square, args=(i,)) for i in range(6)]
-        plain = ExperimentEngine(workers=2).run(jobs)
-        supervised = ExperimentEngine(workers=2, supervise=True).run(jobs)
-        assert [r.value for r in supervised] == [r.value for r in plain]
-        assert [r.key for r in supervised] == [r.key for r in plain]
-
     def test_hang_fault_heals_through_retry(self):
         plan = FaultPlan(seed=1, rates={"worker.hang": 1.0}, limit=1)
-        engine = ExperimentEngine(workers=2, supervise=True, retries=1,
-                                  backoff=0.0)
+        engine = ExperimentEngine(workers=2, retries=1, backoff=0.0)
         jobs = [Job(key=f"sq:{i}", fn=_square, args=(i,), timeout=0.3)
                 for i in range(2)]
         with faults.injected(plan):

@@ -7,6 +7,8 @@ are stable across processes (that stability is what makes the
 differential chaos harness's ground truth meaningful).
 """
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.errors import ConfigError
@@ -51,6 +53,16 @@ class TestSpecValidation:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ConfigError, match="unknown experiment"):
             RequestSpec(kind="experiment", params={"name": "fig99"})
+
+    @pytest.mark.parametrize("name", ["fig6", "fig7"])
+    def test_seed_rejected_where_driver_takes_none(self, name):
+        with pytest.raises(ConfigError, match="takes no 'seed'"):
+            RequestSpec(kind="experiment", params={"name": name, "seed": 1})
+
+    def test_experiment_seed_must_be_an_integer(self):
+        with pytest.raises(ConfigError, match="integer"):
+            RequestSpec(kind="experiment",
+                        params={"name": "table2", "seed": "5"})
 
 
 class TestWireRoundTrip:
@@ -121,6 +133,17 @@ class TestExecutors:
         direct = experiments.fig7_entropy(
             tuple(experiments.CHAIN_LENGTHS))
         assert payload["series"] == normalize(direct)
+
+    def test_experiment_forwards_seed(self):
+        from repro.analysis import experiments
+        spec = RequestSpec(kind="experiment",
+                           params={"name": "table2", "benchmarks": ["httpd"],
+                                   "seed": 5})
+        rows = execute_spec(spec)["rows"]
+        seeded = experiments.table2_bruteforce(("httpd",), seed=5)
+        unseeded = experiments.table2_bruteforce(("httpd",))
+        assert rows == normalize([asdict(row) for row in seeded])
+        assert rows != normalize([asdict(row) for row in unseeded])
 
     def test_sleep_is_bounded(self):
         with pytest.raises(ConfigError, match="seconds"):

@@ -10,6 +10,7 @@ from repro.compiler import compile_minic
 from repro.compiler import ir
 from repro.compiler.liveness import compute_liveness
 from repro.errors import MigrationError, VerificationError
+from repro.isa import X86LIKE, Imm, Instruction, Op
 from repro.staticcheck import (
     RULES,
     Severity,
@@ -23,6 +24,7 @@ from repro.staticcheck.dataflow import (
     check_use_before_def,
 )
 from repro.staticcheck.gadget_audit import audit_gadget_summaries
+from repro.transpile import transpile_binary
 
 
 SOURCE = """
@@ -41,6 +43,16 @@ int main() {
     }
     return total;
 }
+"""
+
+#: if/else arms that compile to nothing: the else block is empty and
+#: starts at the join block's address
+EMPTY_ARMS_SOURCE = """
+int order(int u, int v) {
+    if (u > v) { u = u; } else { v = v; }
+    return u + v;
+}
+int main() { return order(7, 3); }
 """
 
 
@@ -118,6 +130,15 @@ class TestCleanBinary:
         with pytest.raises(ValueError):
             run_verifier(clean_binary, passes=["nope"])
 
+    def test_empty_if_else_arms_verify_clean_and_lift(self):
+        # the empty else block shares its address with the join block,
+        # so a branch to it is a branch to both (HIP103 must not fire)
+        binary = compile_minic(EMPTY_ARMS_SOURCE)
+        report = run_verifier(binary)
+        assert report.findings == []
+        lifted = transpile_binary(binary)
+        assert lifted.transpiled_from == "x86like"
+
 
 # ---------------------------------------------------------------------
 # Seeded faults: deliberately-broken binaries
@@ -155,6 +176,34 @@ class TestSeededFaults:
         finding = next(f for f in report.findings if f.rule_id == "HIP104")
         assert finding.isa == "armlike"
         assert finding.function == "branchy"
+
+    def test_retargeted_branch_caught(self, binary):
+        # point branchy's conditional branch at its join block instead
+        # of the else arm: the bytes no longer carry the IR's edges
+        info = binary.symtab.function("branchy")
+        per_isa = info.per_isa["x86like"]
+        section = binary.sections["x86like"]
+        entry, start, end = per_isa.block_bounds()[0]
+        address = start
+        while True:
+            decoded = X86LIKE.decode(section.data,
+                                     address - section.base_address, address)
+            if decoded.instruction.op is Op.JCC:
+                break
+            address = decoded.end
+        join = per_isa.block_addresses[info.block_order[-1]]
+        patch = X86LIKE.encode(Instruction(Op.JCC, (Imm(join),),
+                                           cond=decoded.instruction.cond),
+                               address)
+        assert len(patch) == decoded.end - address
+        offset = address - section.base_address
+        section.data = (section.data[:offset] + patch
+                        + section.data[offset + len(patch):])
+        report = run_verifier(binary, passes=["cfg"])
+        mismatches = [f for f in report.findings if f.rule_id == "HIP103"]
+        assert [(f.function, f.block, f.isa) for f in mismatches] == [
+            ("branchy", entry, "x86like")]
+        assert not report.ok
 
     def test_arity_mismatch_caught(self, binary):
         binary.symtab.function("leaf").params.append("phantom")
