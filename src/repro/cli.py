@@ -8,8 +8,6 @@ Commands:
 * ``exploit-demo``    — the Figure-1 attack, end to end
 * ``experiment NAME`` — regenerate one paper artifact (fig3..fig14,
   table2, httpd) and print its table
-* ``bench``           — profile the pipeline (serial vs parallel, cold vs
-  warm cache) and write a ``BENCH_*.json`` trajectory file
 * ``verify``          — statically verify fat binaries (CFG recovery,
   cross-ISA consistency, IR lints, gadget audit); exit 1 on errors
 * ``transpile``       — statically lift the x86like section of each
@@ -20,14 +18,14 @@ Commands:
   random programs × random migration schedules under injected faults;
   every case must match clean native execution or fail *typed*; exit 1
   on any silent divergence (reproducible via ``--fault-seed``)
-* ``report FILE``     — summarize a captured ``*.jsonl`` trace (phases,
+* ``report FILE``     — summarize a captured ``*.jsonl`` trace (spans,
   jobs, counters, histograms, cache hit rate, migrations); also emits
   flamegraphs (``--flamegraph``), the critical path
   (``--critical-path``), and Prometheus text (``--format prom``)
 * ``top [RUN]``       — render a journaled run's live status file
   (jobs, workers, breakers, cache, faults), live or post-hoc
 
-``experiment`` and ``bench`` share the runtime flags ``--workers``
+``experiment`` and ``chaos`` share the runtime flags ``--workers``
 (process fan-out; 0 = one per core), ``--no-cache``, ``--cache-dir``,
 and ``--trace FILE`` (capture a metrics + span trace; ``REPRO_TRACE``
 is the environment equivalent).
@@ -36,13 +34,14 @@ is the environment equivalent).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import sys
 import time
 from typing import List, Optional
 
 from . import obs
-from .analysis import experiments
 from .analysis.reporting import format_series, format_table, percent
 from .attacks import gadget_population_summary, mine_binary
 from .compiler import compile_minic
@@ -56,13 +55,10 @@ from .obs.report import (
 from .runtime import (
     ExperimentEngine,
     Job,
-    PhaseProfiler,
     collect,
     configure_cache,
     get_cache,
-    write_bench_file,
 )
-from .runtime import artifacts as runtime_artifacts
 from .runtime import durable, supervisor
 # the per-workload transpile job lives in repro.serve.spec so the CLI
 # and the serve daemon share one implementation; the alias keeps the
@@ -434,91 +430,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         print(f"\n[cache] hits={stats.hits} misses={stats.misses} "
               f"hit-rate={stats.hit_rate:.1%}")
     _finalize_trace(args, label=f"experiment:{args.name}")
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Profile the pipeline and write a ``BENCH_*.json`` trajectory file.
-
-    Phases: artifact warm-up (compile + mine through the cache), the
-    attack-surface sweep run cold (cache bypassed) serially and in
-    parallel — the honest engine speedup — a native-execution phase
-    timing the interpreter's compiled-block hot path, then a
-    cache-populating pass and a pure-hit warm pass recording the
-    memoized path's speedup.
-
-    ``--workers`` defaults to one per core here (serial fan-out makes
-    the parallel phase meaningless); both the requested and the
-    effective worker counts are recorded in the trajectory file.
-    """
-    _configure_runtime(args)
-    benchmarks = tuple(name for name in
-                       (args.benchmarks or "bzip2,mcf,libquantum,sphinx3"
-                        ).split(",") if name)
-    unknown = [name for name in benchmarks if name not in WORKLOADS]
-    if unknown or not benchmarks:
-        print(f"unknown benchmark(s) {', '.join(unknown) or '(none given)'}; "
-              f"available: {', '.join(sorted(WORKLOADS))}", file=sys.stderr)
-        return 2
-    cache = get_cache()
-    requested_workers = args.workers          # None = defaulted, 0 = auto
-    serial = ExperimentEngine(workers=1)
-    parallel = ExperimentEngine(workers=args.workers or 0)
-    profiler = PhaseProfiler(args.label)
-
-    def sweep(which: ExperimentEngine):
-        experiments.fig3_classic_rop(benchmarks, engine=which)
-        experiments.fig4_bruteforce_surface(benchmarks, engine=which)
-
-    with profiler.phase("compile", jobs=len(benchmarks)):
-        binaries = {name: compile_workload(name) for name in benchmarks}
-    with profiler.phase("mine", jobs=len(binaries)):
-        for binary in binaries.values():
-            runtime_artifacts.mine_binary_cached(binary, "x86like")
-    with profiler.phase("verify-all", jobs=len(binaries)):
-        # full static-verifier runtime (all passes, every benchmark) so
-        # analysis regressions show up in the perf-smoke comparison
-        from .staticcheck import run_verifier
-        for binary in binaries.values():
-            run_verifier(binary)
-    with profiler.phase("transpile-all", jobs=len(binaries)):
-        from .transpile import transpile_binary
-        for binary in binaries.values():
-            transpile_binary(binary)
-    with profiler.phase("exec-native", benchmark=benchmarks[0]):
-        # end-to-end guest execution: exercises the interpreter's
-        # compiled-block dispatch (the threaded-code fast path)
-        run_native(binaries[benchmarks[0]], "x86like")
-    with profiler.phase("sweep-serial-cold", workers=1):
-        with cache.bypass():
-            sweep(serial)
-    with profiler.phase("sweep-parallel-cold", workers=parallel.workers):
-        with cache.bypass():
-            sweep(parallel)
-    with profiler.phase("sweep-populate", workers=1):
-        sweep(serial)            # first cache-on pass: miss-and-store
-    with profiler.phase("sweep-warm", workers=1):
-        sweep(serial)            # pure hits
-
-    serial_cold = profiler.seconds_of("sweep-serial-cold")
-    parallel_cold = profiler.seconds_of("sweep-parallel-cold")
-    payload = profiler.as_dict(
-        cache=cache,
-        benchmarks=list(benchmarks),
-        workers=parallel.workers,
-        workers_requested=("auto(cpu_count)" if requested_workers is None
-                           else requested_workers),
-        workers_effective=parallel.workers,
-        speedup=round(serial_cold / parallel_cold, 3) if parallel_cold else None,
-        warm_speedup=round(serial_cold / profiler.seconds_of("sweep-warm"), 3)
-        if profiler.seconds_of("sweep-warm") else None,
-    )
-    path = write_bench_file(payload, path=args.output)
-    print(f"[bench] serial {serial_cold:.2f}s, parallel "
-          f"({parallel.workers} workers) {parallel_cold:.2f}s, warm "
-          f"{profiler.seconds_of('sweep-warm'):.2f}s")
-    print(f"[bench] wrote {path}")
-    _finalize_trace(args, label=f"bench:{args.label}")
     return 0
 
 
@@ -1115,20 +1026,6 @@ def build_parser() -> argparse.ArgumentParser:
                                         "after the run")
     experiment_parser.set_defaults(func=cmd_experiment)
 
-    bench_parser = sub.add_parser(
-        "bench", help="profile serial vs parallel, cold vs warm cache")
-    bench_parser.add_argument("--benchmarks", default=None,
-                              metavar="A,B,...",
-                              help="comma-separated workload names "
-                                   "(default: bzip2,mcf,libquantum,sphinx3)")
-    bench_parser.add_argument("--label", default="sweep",
-                              help="label embedded in the BENCH_*.json name")
-    bench_parser.add_argument("--output", "-o", default=None,
-                              help="explicit output path for the "
-                                   "trajectory file")
-    add_runtime_flags(bench_parser)
-    bench_parser.set_defaults(func=cmd_bench)
-
     verify_parser = sub.add_parser(
         "verify", help="statically verify a fat binary (no execution)")
     verify_parser.add_argument("file", nargs="?", default=None,
@@ -1384,6 +1281,20 @@ def _journal_dir(args: argparse.Namespace) -> Optional[str]:
     return getattr(args, "journal", None) or os.environ.get(durable.ENV_JOURNAL)
 
 
+def _parse_recorded_argv(replay: durable.JournalReplay) -> argparse.Namespace:
+    """Parse a journal's command line, refusing one this version lacks
+    as a ``ValueError`` rather than an argparse usage dump and exit 2."""
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(stderr):
+            return build_parser().parse_args(replay.argv)
+    except SystemExit:
+        reason = stderr.getvalue().strip().rsplit("error: ", 1)[-1]
+        raise ValueError(
+            f"run {replay.run_id} recorded 'repro {' '.join(replay.argv)}',"
+            f" which this version cannot run: {reason}") from None
+
+
 @_typed_errors
 def cmd_resume(args: argparse.Namespace) -> int:
     """Replay a run journal and re-dispatch its recorded command line.
@@ -1417,6 +1328,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
               f"nothing to resume")
         return 0
     durable.verify_resume_argv(replay)
+    sub_args = _parse_recorded_argv(replay)
     journal = durable.RunJournal.resume(directory, replay)
     # journal<->cache cross-check: a job_done record only counts if its
     # artifact is still present and passes its checksum
@@ -1439,7 +1351,6 @@ def cmd_resume(args: argparse.Namespace) -> int:
         notes.append(f"{replay.torn_records} torn record(s) repaired")
     print(f"[journal] resuming run {replay.run_id} "
           f"({replay.status()}): " + ", ".join(notes))
-    sub_args = build_parser().parse_args(replay.argv)
     sub_args.argv = list(replay.argv)
     if args.force:
         sub_args.force = True

@@ -2,11 +2,11 @@
 
 ``repro report out.jsonl`` loads the JSONL trace written by
 ``--trace`` / ``REPRO_TRACE`` and prints: a wall-time attribution line,
-span totals by name, the per-phase table, per-job rows (with outcomes),
-hot compiled blocks, the migration-stage latency breakdown, top
-counters, histogram percentiles, the artifact-cache hit rate, migration
-counts by direction, and static-verifier pass timings and findings —
-the operational view of one experiment or verify run.
+span totals by name, per-job rows (with outcomes), hot compiled
+blocks, the migration-stage latency breakdown, top counters, histogram
+percentiles, the artifact-cache hit rate, migration counts by
+direction, and static-verifier pass timings and findings — the
+operational view of one experiment or verify run.
 
 Two alternate renderings live here too: :func:`render_flamegraph_file`
 (collapsed-stack body for ``--flamegraph``) and
@@ -45,20 +45,6 @@ def _span_summary(spans: List[Dict[str, Any]]) -> str:
             sorted(totals.items(), key=lambda kv: -kv[1][1])]
     return format_table(["span", "count", "total s", "mean s", "max s"],
                         rows, "Spans by name")
-
-
-def _phase_table(spans: List[Dict[str, Any]]) -> str:
-    rows = []
-    for span in spans:
-        if not span["name"].startswith("phase:"):
-            continue
-        attrs = span.get("attrs", {})
-        meta = ", ".join(f"{key}={attrs[key]}" for key in sorted(attrs))
-        rows.append((span["name"][len("phase:"):],
-                     _fmt_seconds(float(span.get("dur", 0.0))), meta))
-    if not rows:
-        return ""
-    return format_table(["phase", "seconds", "meta"], rows, "Phases")
 
 
 def _job_table(spans: List[Dict[str, Any]], top: int) -> str:
@@ -327,7 +313,6 @@ def render_report(trace: TraceData, top: int = 15) -> str:
         f"{len(counters)} counter series",
         _attribution_line(trace),
         _span_summary(trace.spans) if trace.spans else "",
-        _phase_table(trace.spans),
         _job_table(trace.spans, top),
         _hot_blocks_table(metrics, top),
         _migration_stage_table(metrics.get("histograms", {})),

@@ -1,4 +1,4 @@
-"""Execution runtime: fan-out engine, artifact cache, profiling hooks.
+"""Execution runtime: fan-out engine, artifact cache, durable runs.
 
 Three layers (see DESIGN.md "Runtime engine"):
 
@@ -7,8 +7,8 @@ Three layers (see DESIGN.md "Runtime engine"):
   isolation;
 * :mod:`repro.runtime.cache` — content-addressed on-disk memoization for
   compiled binaries, gadget-mining results, and measurement rows;
-* :mod:`repro.runtime.profile` — per-phase wall-time records written as
-  ``BENCH_*.json`` trajectory files by ``repro bench``.
+* :mod:`repro.runtime.durable` — the write-ahead run journal behind
+  ``--journal`` and ``repro resume``.
 
 :mod:`repro.runtime.artifacts` (imported explicitly, not re-exported
 here) holds the cache-aware wrappers the experiment drivers call.
@@ -16,7 +16,7 @@ here) holds the cache-aware wrappers the experiment drivers call.
 All three layers report through :mod:`repro.obs` when tracing is on:
 the engine captures and merges per-job metrics/trace buffers, the cache
 mirrors its hit/miss/eviction counters into the registry, and the
-profiler's phases are spans (see DESIGN.md "Observability").
+journal counts its records (see DESIGN.md "Observability").
 """
 
 from .cache import (
@@ -48,7 +48,6 @@ from .engine import (
     resolve_workers,
     set_default_engine,
 )
-from .profile import PhaseProfiler, PhaseRecord, write_bench_file
 from .supervisor import CircuitBreaker, SupervisedPool
 
 __all__ = [
@@ -75,9 +74,6 @@ __all__ = [
     "get_default_engine",
     "resolve_workers",
     "set_default_engine",
-    "PhaseProfiler",
-    "PhaseRecord",
-    "write_bench_file",
     "CircuitBreaker",
     "SupervisedPool",
 ]

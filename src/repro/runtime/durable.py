@@ -44,11 +44,11 @@ and carries on; a garbled record anywhere *else* is structural damage
 and raises :class:`~repro.errors.JournalCorruptError`.
 
 **Occurrences.**  One run may enqueue the same job key several times
-(``repro bench`` sweeps the same jobs cold, populating, and warm), so
-completion is tracked per ``(key, occurrence)`` where ``occurrence``
-counts prior enqueues of that key within the run.  A resumed run
-re-executes the same command deterministically, so occurrences line up
-by construction.
+(a command that sweeps the same jobs twice, say), so completion is
+tracked per ``(key, occurrence)`` where ``occurrence`` counts prior
+enqueues of that key within the run.  A resumed run re-executes the
+same command deterministically, so occurrences line up by
+construction.
 """
 
 from __future__ import annotations

@@ -361,6 +361,8 @@ class _WorkerState:
         self.eof = False
         #: (index, job) currently dispatched, or None when idle
         self.current: Optional[Tuple[int, Any]] = None
+        #: the current dispatch carries an injected ``worker.hang``
+        self.injected_hang = False
 
 
 class SupervisedPool:
@@ -421,7 +423,8 @@ class SupervisedPool:
             pass
         del states[state.wid]
         self.restarts += 1
-        faults.recovered("engine.worker", "restart")
+        if state.injected_hang:     # only an injected hang is a healed fault
+            faults.recovered("engine.worker", "restart")
         if obs.enabled():
             obs.get_registry().counter("supervisor.restarts").inc()
             obs.event("supervisor.restart", wid=state.wid, reason=reason)
@@ -481,6 +484,7 @@ class SupervisedPool:
                                 self._journal_fault(event)
                         state.tasks.put((index, job, attempt, hang_seconds))
                         state.current = (index, job)
+                        state.injected_hang = hang_seconds > 0
                         state.last_beat = time.time()
                 elif pending:
                     pending = []           # interrupted: drop the backlog

@@ -102,33 +102,6 @@ class TestRuntimeFlags:
         assert "[cache]" in capsys.readouterr().out
 
 
-class TestBench:
-    def test_bench_writes_trajectory_file(self, tmp_path, capsys):
-        out_path = tmp_path / "BENCH_cli.json"
-        assert main(["bench", "--benchmarks", "mcf",
-                     "--output", str(out_path)]) == 0
-        assert "[bench] wrote" in capsys.readouterr().out
-        import json
-        payload = json.loads(out_path.read_text())
-        phase_names = [p["name"] for p in payload["phases"]]
-        assert phase_names == ["compile", "mine", "verify-all",
-                               "transpile-all",
-                               "exec-native", "sweep-serial-cold",
-                               "sweep-parallel-cold", "sweep-populate",
-                               "sweep-warm"]
-        assert payload["benchmarks"] == ["mcf"]
-        assert payload["host"]["cpu_count"] >= 1
-        # bench defaults --workers to one per core and records both the
-        # requested and the effective counts
-        assert payload["workers_requested"] == "auto(cpu_count)"
-        assert payload["workers_effective"] == payload["workers"]
-        assert "batch" not in payload
-        assert "cache" in payload and "hit_rate" in payload["cache"]
-        assert payload["speedup"] is None or payload["speedup"] > 0
-        # the warm sweep must beat the cold one through the cache
-        assert payload["warm_speedup"] > 1
-
-
 class TestDurableFlags:
     def test_parser_accepts_journal_flags(self):
         args = build_parser().parse_args(
@@ -224,6 +197,26 @@ class TestTypedErrors:
         assert err.startswith("error:")
         assert "refusing to replay" in err
         assert "Traceback" not in err
+
+    def test_resume_of_a_removed_command_is_typed(self, tmp_path, capsys):
+        # a journal recorded by an older version whose command line this
+        # parser rejects: one error line, no usage dump, journal untouched
+        from repro.runtime.durable import RunJournal
+        journal = RunJournal.create(tmp_path,
+                                    argv=["bench", "--benchmarks", "mcf"])
+        journal.append("job_started", slot=0, key="k")
+        journal.close()                      # interrupted, resumable
+        before = journal.path.read_bytes()
+        assert main(["resume", "latest", "--journal",
+                     str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1
+        assert journal.run_id in captured.err
+        assert "bench --benchmarks mcf'" in captured.err
+        assert "usage:" not in captured.err + captured.out
+        assert "[journal] resuming" not in captured.out
+        assert journal.path.read_bytes() == before
 
 
 class TestServeParser:

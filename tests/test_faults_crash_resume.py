@@ -89,7 +89,8 @@ def _resume_until_done(journal_dir, env, expect_crashes=True):
 
 
 class TestKillAndResume:
-    """``orchestrator.kill`` + ``repro resume`` → byte-identical output."""
+    """A kill (``orchestrator.kill`` or an outside SIGKILL) + ``repro
+    resume`` → byte-identical output."""
 
     @pytest.fixture(scope="class")
     def reference(self, tmp_path_factory):
@@ -128,6 +129,42 @@ class TestKillAndResume:
         # (key, occurrence) slot has at most one job_done
         done = [(r["key"], r["occurrence"])
                 for r in records if r["type"] == "job_done"]
+        assert len(done) == len(set(done)) == 8
+
+    def test_external_sigkill_of_a_parallel_run_resumes(self, tmp_path,
+                                                         reference):
+        # no injected fault: the run is SIGKILLed from outside the moment
+        # its first job_done is durable.  The whole process group goes,
+        # pool workers included, as in a machine crash.
+        journal_dir = tmp_path / "journal"
+        env = dict(os.environ, PYTHONPATH=REPO_SRC)
+        env.pop("REPRO_FAULTS", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "experiment", "table2",
+             "--workers", "2", "--journal", str(journal_dir),
+             "--cache-dir", str(tmp_path / "cache")],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+            start_new_session=True)
+        deadline = time.time() + 120
+        while proc.poll() is None:
+            if time.time() > deadline or any(
+                    b'"type": "job_done"' in path.read_bytes()
+                    for path in journal_dir.glob("*.journal.jsonl")):
+                os.killpg(proc.pid, signal.SIGKILL)
+                break
+            time.sleep(0.01)
+        proc.wait()
+        if proc.returncode == 0:
+            pytest.fail("the run finished before the kill landed")
+        assert proc.returncode == -signal.SIGKILL
+
+        final = _resume_until_done(str(journal_dir), env={})
+        assert _table_lines(final.stdout) == reference
+        assert "recomputed=0" in final.stdout
+        assert "resumed=0 " not in final.stdout
+        done = [(r["key"], r["occurrence"])
+                for r in _journal_records(journal_dir)
+                if r["type"] == "job_done"]
         assert len(done) == len(set(done)) == 8
 
     def test_finished_run_refuses_to_rerun(self, tmp_path, reference):

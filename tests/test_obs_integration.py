@@ -20,7 +20,6 @@ from repro.obs import context as obs
 from repro.obs.instrument import step_metrics
 from repro.obs.trace import load_trace
 from repro.runtime.engine import ExperimentEngine, Job
-from repro.runtime.profile import PhaseProfiler
 
 
 SOURCE = """
@@ -267,35 +266,6 @@ class TestMigrationObservability:
             ("x86like", "armlike"): 5,
             ("armlike", "x86like"): 5,
         }
-
-
-class TestPhaseProfilerSpans:
-    def test_phase_timing_comes_from_spans(self):
-        profiler = PhaseProfiler(label="test")
-        with profiler.phase("compile", jobs=2):
-            pass
-        assert profiler.phases[0].name == "compile"
-        assert profiler.phases[0].seconds >= 0.0
-        payload = profiler.as_dict()
-        assert payload["phases"][0]["jobs"] == 2
-        assert set(payload) == {"label", "host", "phases", "total_seconds"}
-
-    def test_phases_mirror_into_ambient_trace(self):
-        obs.enable()
-        profiler = PhaseProfiler(label="test")
-        with profiler.phase("compile"):
-            pass
-        profiler.add("mine", 0.5, jobs=3)
-        names = [r["name"] for r in obs.get_tracer().records]
-        assert names == ["phase:compile", "phase:mine"]
-
-    def test_no_mirroring_when_disabled(self):
-        profiler = PhaseProfiler(label="test")
-        with profiler.phase("compile"):
-            pass
-        assert obs.get_tracer().records == []
-        # the profiler's private tracer still recorded the phase
-        assert [r["name"] for r in profiler.tracer.records] == ["compile"]
 
 
 class TestCLITrace:

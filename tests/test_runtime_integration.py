@@ -5,8 +5,7 @@ Two properties the paper artifacts depend on:
 * determinism — a driver's rows are byte-identical whether the sweep ran
   serially, across a process pool, or out of a warm cache;
 * memoization — re-running a driver against a warm store recompiles and
-  re-mines nothing (the acceptance criterion for ``repro bench``'s warm
-  phase).
+  re-mines nothing.
 """
 
 import pytest

@@ -9,6 +9,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.faults import injection as faults
 from repro.faults.plan import FaultPlan
+from repro.obs import context as obs
 from repro.runtime import durable
 from repro.runtime import supervisor
 from repro.runtime.durable import RunJournal, replay_journal
@@ -39,6 +40,12 @@ def _hard_exit():
 def _slow(x, delay):
     time.sleep(delay)
     return x
+
+
+def _counters(prefix):
+    return {name: value for name, value in
+            obs.get_registry().snapshot()["counters"].items()
+            if name.startswith(prefix)}
 
 
 # ---------------------------------------------------------------------
@@ -256,6 +263,7 @@ class TestSupervisedPool:
         assert pool.restarts == 0
 
     def test_dead_worker_is_detected_and_replaced(self):
+        obs.enable()
         pool = SupervisedPool(workers=1, default_hang_timeout=10.0)
         pairs = [(0, Job(key="die", fn=_hard_exit)),
                  (1, Job(key="ok", fn=_square, args=(3,)))]
@@ -263,6 +271,9 @@ class TestSupervisedPool:
         assert "worker process died" in done[0].error
         assert done[1].value == 9          # the replacement ran the rest
         assert pool.restarts == 1
+        assert _counters("supervisor.restarts") == {"supervisor.restarts": 1}
+        # nothing was injected, so the restart heals no fault
+        assert _counters("faults.recovered") == {}
 
     def test_hung_worker_is_killed_and_replaced(self):
         plan = FaultPlan(seed=1, rates={"worker.hang": 1.0}, limit=1)
@@ -270,12 +281,15 @@ class TestSupervisedPool:
                               default_hang_timeout=0.3)
         pairs = [(0, Job(key="victim", fn=_square, args=(2,))),
                  (1, Job(key="ok", fn=_square, args=(3,)))]
+        obs.enable()
         with faults.injected(plan):
             done = pool.run(pairs)
         assert "worker hung" in done[0].error
         assert "killed by supervisor" in done[0].error
         assert done[1].value == 9
         assert pool.restarts == 1
+        assert _counters("faults.recovered") == {
+            "faults.recovered{action=restart,site=engine.worker}": 1}
 
     def test_should_stop_drops_the_backlog(self):
         pool = SupervisedPool(workers=1, default_hang_timeout=10.0)
