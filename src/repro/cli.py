@@ -60,11 +60,10 @@ from .runtime import (
     get_cache,
 )
 from .runtime import durable, supervisor
-# the per-workload transpile job lives in repro.serve.spec so the CLI
-# and the serve daemon share one implementation; the alias keeps the
-# picklable module-level entry point the worker fan-out expects
-from .serve.spec import transpile_workload_job as _transpile_workload_job
-from .workloads import WORKLOADS, compile_workload
+# the per-workload verify and transpile jobs live in repro.serve.spec so
+# the CLI and the serve daemon share one implementation of each
+from .serve.spec import transpile_workload_job, verify_workload_job
+from .workloads import WORKLOADS
 
 
 def _load_source(path: str) -> str:
@@ -433,13 +432,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_workload_job(name: str, rules, passes):
-    """Module-level verify job so ``verify --workers`` can fan out."""
-    from .staticcheck import run_verifier
-
-    return run_verifier(compile_workload(name), rules=rules, passes=passes)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     """Statically verify fat binaries; exit 1 on any ERROR finding."""
     from .staticcheck import PASSES_BY_NAME, RULES, resolve_rules, \
@@ -491,7 +483,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # back in submission order, so output is byte-identical for
         # any --workers value.
         engine = ExperimentEngine(workers=args.workers)
-        jobs = [Job(key=f"verify:{name}", fn=_verify_workload_job,
+        jobs = [Job(key=f"verify:{name}", fn=verify_workload_job,
                     args=(name, rules, args.passes), workload=name)
                 for name in targets]
         for name, report in zip(targets, collect(engine.run(jobs))):
@@ -574,7 +566,9 @@ def cmd_transpile(args: argparse.Namespace) -> int:
     workload on real inputs, plus a random-program harness under fault
     schedules; ``all`` (default) runs both.  Exit 1 on any failure.
     """
-    from .transpile import fuzz_run, load_corpus
+    from .faults.fuzz import run_cases
+    from .faults.plan import default_plan
+    from .transpile import fuzz_run, fuzzing, load_corpus
 
     tiers = (("static", "fuzz") if args.verify_tier == "all"
              else (args.verify_tier,))
@@ -604,7 +598,7 @@ def cmd_transpile(args: argparse.Namespace) -> int:
     if targets:
         # Submission order is sorted and results return in submission
         # order, so output is byte-identical for any --workers value.
-        jobs = [Job(key=f"transpile:{name}", fn=_transpile_workload_job,
+        jobs = [Job(key=f"transpile:{name}", fn=transpile_workload_job,
                     args=(name, tiers, args.surface, args.fault_seed),
                     workload=name)
                 for name in targets]
@@ -613,9 +607,9 @@ def cmd_transpile(args: argparse.Namespace) -> int:
 
     fuzz_report = None
     if args.corpus:
-        cases = load_corpus(args.corpus)
-        fuzz_report = fuzz_run(args.fault_seed, len(cases), cases=cases,
-                               engine=engine)
+        fuzz_report = run_cases(args.fault_seed, load_corpus(args.corpus),
+                                default_plan(args.fault_seed), engine,
+                                fuzzing.run_case)
     elif args.fuzz is not None or "fuzz" in tiers:
         iterations = args.fuzz if args.fuzz is not None else 10
         fuzz_report = fuzz_run(args.fault_seed, iterations, engine=engine)
@@ -639,13 +633,7 @@ def cmd_transpile(args: argparse.Namespace) -> int:
         import json
         payload = {"ok": ok, "targets": results}
         if fuzz_report is not None:
-            payload["fuzz"] = {
-                "ok": fuzz_report.ok,
-                "fault_seed": fuzz_report.fault_seed,
-                "statuses": fuzz_report.status_counts(),
-                "digest": fuzz_report.digest(),
-                "failures": [o.to_dict() for o in fuzz_report.failures],
-            }
+            payload["fuzz"] = fuzz_report.payload()
         rendered = json.dumps(payload, indent=2, sort_keys=True)
     else:
         chunks = [_render_transpile_target(name, result)
@@ -683,7 +671,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     import tempfile
 
     from .faults.fuzz import ChaosReport, chaos_run, chaos_workloads, \
-        load_corpus, run_case
+        load_corpus, run_cases
     from .faults.plan import default_plan
 
     if getattr(args, "serve", False):
@@ -699,13 +687,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     plan = default_plan(args.fault_seed, rate_scale=args.rate_scale)
 
     if args.workloads:
-        outcomes = chaos_workloads(args.fault_seed,
-                                   rate_scale=args.rate_scale)
-        report = ChaosReport(args.fault_seed, len(outcomes), outcomes)
+        report = ChaosReport(args.fault_seed, chaos_workloads(
+            args.fault_seed, rate_scale=args.rate_scale))
     elif args.corpus:
-        cases = load_corpus(args.corpus)
-        outcomes = [run_case(case, plan) for case in cases]
-        report = ChaosReport(args.fault_seed, len(cases), outcomes)
+        report = run_cases(args.fault_seed, load_corpus(args.corpus), plan,
+                           engine)
     else:
         report = chaos_run(args.fault_seed, args.iterations, plan=plan,
                            engine=engine)

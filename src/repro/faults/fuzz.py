@@ -1,4 +1,4 @@
-"""Property-based differential chaos harness behind ``repro chaos``.
+"""The differential harness behind ``repro chaos`` and ``repro transpile``.
 
 The strongest end-to-end property the fault subsystem can check: for a
 randomly generated mini-C program and a random migration schedule, a
@@ -11,7 +11,12 @@ HIPStR run *with faults injected* must either
 
 What it must never do is silently diverge — finish "successfully" with a
 different exit code — or escape through an untyped exception.  Both are
-recorded as failures by :func:`run_case`.
+recorded as failures by :func:`judge`, the one place a faulted run is
+classified.  A *case runner* prepares one case and hands its HIPStR run
+to the judge: :func:`run_case` here for the chaos track, and
+:func:`repro.transpile.fuzzing.run_case` for the transpile track, which
+runs the lifted binary instead.  :func:`run_cases` fans either runner
+out over an engine.
 
 Everything is reproducible from one ``--fault-seed``: the program
 generator, the schedule generator, and every per-case fault plan derive
@@ -21,12 +26,13 @@ into the regression corpus under ``tests/corpus/``).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..compiler import compile_minic
 from ..core.hipstr import run_under_hipstr
@@ -188,6 +194,14 @@ class MigrationSchedule:
             start_isa=rng.choice(("x86like", "armlike")),
         )
 
+    def run(self, binary):
+        """One HIPStR run of ``binary`` under this schedule."""
+        return run_under_hipstr(
+            binary, seed=self.seed,
+            migration_probability=self.migration_probability,
+            start_isa=self.start_isa, phase_interval=self.phase_interval,
+            max_instructions=CASE_MAX_INSTRUCTIONS)
+
 
 @dataclass(frozen=True)
 class ChaosCase:
@@ -207,14 +221,22 @@ class ChaosCase:
                    schedule=MigrationSchedule(**raw["schedule"]))
 
 
-def generate_cases(fault_seed: int, count: int) -> List[ChaosCase]:
-    """The deterministic case list for one chaos run."""
+#: harness track -> (RNG namespace, case-id prefix); distinct namespaces
+#: keep the two corpora on different programs at the same fault seed
+TRACKS = {"chaos": ("chaos-case", "case"),
+          "transpile": ("transpile-case", "transpile")}
+
+
+def generate_cases(fault_seed: int, count: int,
+                   track: str = "chaos") -> List[ChaosCase]:
+    """The deterministic case list for one run of a harness track."""
+    namespace, prefix = TRACKS[track]
     cases = []
     for index in range(count):
-        rng = random.Random(f"chaos-case:{fault_seed}:{index}")
+        rng = random.Random(f"{namespace}:{fault_seed}:{index}")
         source = ProgramGenerator(rng).generate()
         schedule = MigrationSchedule.random(rng)
-        cases.append(ChaosCase(case_id=f"case-{fault_seed}-{index}",
+        cases.append(ChaosCase(case_id=f"{prefix}-{fault_seed}-{index}",
                                source=source, schedule=schedule))
     return cases
 
@@ -231,7 +253,7 @@ def case_plan(base: FaultPlan, case_id: str) -> FaultPlan:
 
 
 # ----------------------------------------------------------------------
-# Running one case
+# Judging one case
 # ----------------------------------------------------------------------
 @dataclass
 class CaseOutcome:
@@ -264,40 +286,22 @@ class CaseOutcome:
         return cls(**raw)
 
 
-def run_case(case: ChaosCase, base_plan: FaultPlan) -> CaseOutcome:
-    """Compile clean, run native clean, then run HIPStR under faults."""
-    binary = compile_minic(case.source)
-    native_x = run_native(binary, "x86like").os.exit_code
-    native_a = run_native(binary, "armlike").os.exit_code
-    if native_x is None or native_x != native_a:
-        return CaseOutcome(
-            case_id=case.case_id, status="native-divergence",
-            native_exit=native_x,
-            detail=f"x86like={native_x} armlike={native_a}")
+def judge(case_id: str, base_plan: FaultPlan, native_exit: Optional[int],
+          execute: Callable[[], Tuple[Any, Any]]) -> CaseOutcome:
+    """Judge one HIPStR run, made under the case's derived fault plan.
 
-    plan = case_plan(base_plan, case.case_id)
+    ``execute`` does the run (returning what ``run_under_hipstr``
+    returns) with the case's injector installed; the previous injector
+    is restored afterwards.  Against ``native_exit`` the run is ``ok``,
+    ``detected:<Type>``, ``crash:<Type>``, ``nohalt`` or ``divergence``.
+    """
     previous = injection.get()
-    injector = injection.install(plan)
-    outcome = CaseOutcome(case_id=case.case_id, status="ok",
-                          native_exit=native_x)
+    injector = injection.install(case_plan(base_plan, case_id))
+    outcome = CaseOutcome(case_id=case_id, status="ok",
+                          native_exit=native_exit)
     try:
-        # Round-trip the binary through the artifact cache while faults
-        # are live: the ``put`` may flip a stored byte and the re-read
-        # must checksum-detect it, quarantine, and recompute.
-        cache = get_cache()
-        key = digest("chaos", case.case_id, case.source)
-        cache.put("chaos.binary", key, binary)
-        binary = cache.get_or_compute(
-            "chaos.binary", key, lambda: compile_minic(case.source))
-
-        schedule = case.schedule
         try:
-            _, result = run_under_hipstr(
-                binary, seed=schedule.seed,
-                migration_probability=schedule.migration_probability,
-                start_isa=schedule.start_isa,
-                phase_interval=schedule.phase_interval,
-                max_instructions=CASE_MAX_INSTRUCTIONS)
+            _, result = execute()
         except ReproError as exc:
             outcome.status = f"detected:{type(exc).__name__}"
             outcome.detail = str(exc)[:200]
@@ -312,9 +316,9 @@ def run_case(case: ChaosCase, base_plan: FaultPlan) -> CaseOutcome:
             if result.result.reason != "halt":
                 outcome.status = "nohalt"
                 outcome.detail = result.result.reason
-            elif result.exit_code != native_x:
+            elif result.exit_code != native_exit:
                 outcome.status = "divergence"
-                outcome.detail = (f"native={native_x} "
+                outcome.detail = (f"native={native_exit} "
                                   f"chaos={result.exit_code}")
         outcome.fault_counts = dict(injector.counts)
         outcome.fault_digest = injector.log_digest()
@@ -326,22 +330,51 @@ def run_case(case: ChaosCase, base_plan: FaultPlan) -> CaseOutcome:
     return outcome
 
 
-def _case_job(case_dict: Dict[str, Any],
+def run_case(case: ChaosCase, base_plan: FaultPlan) -> CaseOutcome:
+    """Chaos track: compile clean, run native clean on both ISAs, then
+    judge HIPStR under faults."""
+    binary = compile_minic(case.source)
+    native_x = run_native(binary, "x86like").os.exit_code
+    native_a = run_native(binary, "armlike").os.exit_code
+    if native_x is None or native_x != native_a:
+        return CaseOutcome(
+            case_id=case.case_id, status="native-divergence",
+            native_exit=native_x,
+            detail=f"x86like={native_x} armlike={native_a}")
+
+    def execute():
+        # Round-trip the binary through the artifact cache while faults
+        # are live: the ``put`` may flip a stored byte and the re-read
+        # must checksum-detect it, quarantine, and recompute.
+        cache = get_cache()
+        key = digest("chaos", case.case_id, case.source)
+        cache.put("chaos.binary", key, binary)
+        return case.schedule.run(cache.get_or_compute(
+            "chaos.binary", key, lambda: compile_minic(case.source)))
+
+    return judge(case.case_id, base_plan, native_x, execute)
+
+
+#: a case runner: one track's way to judge one case
+CaseRunner = Callable[[ChaosCase, FaultPlan], CaseOutcome]
+
+
+def _case_job(runner: CaseRunner, case_dict: Dict[str, Any],
               plan_spec: str) -> Dict[str, Any]:
-    """Module-level engine job: run one case (picklable by reference)."""
+    """Module-level engine job: judge one case with a module-level
+    ``runner`` (both picklable by reference)."""
     case = ChaosCase.from_dict(case_dict)
-    return run_case(case, FaultPlan.from_spec(plan_spec)).to_dict()
+    return runner(case, FaultPlan.from_spec(plan_spec)).to_dict()
 
 
 # ----------------------------------------------------------------------
-# Whole chaos runs
+# Whole runs
 # ----------------------------------------------------------------------
 @dataclass
 class ChaosReport:
-    """Aggregate of one ``repro chaos`` invocation."""
+    """Aggregate of one differential run (chaos or transpile track)."""
 
     fault_seed: int
-    iterations: int
     outcomes: List[CaseOutcome]
 
     @property
@@ -374,33 +407,47 @@ class ChaosReport:
             hasher.update(outcome.status.encode())
         return hasher.hexdigest()
 
+    def payload(self) -> Dict[str, Any]:
+        """The plain-data report ``repro serve`` and ``repro transpile
+        --format json`` return."""
+        return {
+            "ok": self.ok,
+            "fault_seed": self.fault_seed,
+            "cases": len(self.outcomes),
+            "statuses": self.status_counts(),
+            "fault_counts": self.fault_counts(),
+            "digest": self.digest(),
+            "failures": [o.to_dict() for o in self.failures],
+        }
+
+
+def run_cases(fault_seed: int, cases: Sequence[ChaosCase], plan: FaultPlan,
+              engine=None, runner: CaseRunner = run_case) -> ChaosReport:
+    """Judge every case with ``runner``, optionally fanned out.
+
+    Each case installs its own derived injector, so results are the same
+    serial or parallel and whatever ``REPRO_FAULTS`` says.  Even a serial
+    engine matters: it journals each case and serves it on resume.
+    """
+    if engine is None:
+        outcomes = [runner(case, plan) for case in cases]
+    else:
+        from ..runtime.engine import Job
+        jobs = [Job(key=case.case_id, fn=_case_job,
+                    args=(runner, case.to_dict(), plan.to_spec()),
+                    workload=case.case_id)
+                for case in cases]
+        outcomes = [_outcome_of(result) for result in engine.run(jobs)]
+    return ChaosReport(fault_seed=fault_seed, outcomes=outcomes)
+
 
 def chaos_run(fault_seed: int, iterations: int,
               plan: Optional[FaultPlan] = None,
               engine=None) -> ChaosReport:
-    """Run ``iterations`` differential cases, optionally fanned out.
-
-    Each case installs its own derived injector inside the case runner,
-    so results are identical serial or parallel, and independent of the
-    ``REPRO_FAULTS`` environment.
-    """
-    base = plan if plan is not None \
-        else default_plan(fault_seed).with_seed(fault_seed)
-    cases = generate_cases(fault_seed, iterations)
-    if engine is not None:
-        # Even the serial engine path matters: it is what makes a chaos
-        # run journal-able and resumable (engine.run appends the
-        # write-ahead records and serves completed cases on resume).
-        from ..runtime.engine import Job
-        jobs = [Job(key=case.case_id, fn=_case_job,
-                    args=(case.to_dict(), base.to_spec()),
-                    workload=case.case_id)
-                for case in cases]
-        outcomes = [_outcome_of(result) for result in engine.run(jobs)]
-    else:
-        outcomes = [run_case(case, base) for case in cases]
-    return ChaosReport(fault_seed=fault_seed, iterations=iterations,
-                       outcomes=outcomes)
+    """Run ``iterations`` generated chaos-track cases."""
+    return run_cases(fault_seed, generate_cases(fault_seed, iterations),
+                     plan if plan is not None else default_plan(fault_seed),
+                     engine)
 
 
 def _outcome_of(result) -> CaseOutcome:
@@ -426,48 +473,17 @@ def chaos_workloads(fault_seed: int, rate_scale: float = 1.0,
                     ) -> List[CaseOutcome]:
     """Chaos sweep over the benchmark suite: every workload, faults on."""
     from ..workloads.suite import WORKLOADS, compile_workload
+    base = default_plan(fault_seed, rate_scale)
     outcomes: List[CaseOutcome] = []
     for name in (names if names is not None else sorted(WORKLOADS)):
         binary = compile_workload(name, work=work)
         stdin = WORKLOADS[name].stdin
         native = run_native(binary, "x86like", stdin=stdin,
                             max_instructions=max_instructions).os.exit_code
-        plan = case_plan(default_plan(fault_seed, rate_scale), f"wl-{name}")
-        previous = injection.get()
-        injector = injection.install(plan)
-        outcome = CaseOutcome(case_id=f"wl-{name}", status="ok",
-                              native_exit=native)
-        try:
-            try:
-                _, result = run_under_hipstr(
-                    binary, seed=fault_seed, migration_probability=0.5,
-                    stdin=stdin, phase_interval=2500,
-                    max_instructions=max_instructions)
-            except ReproError as exc:
-                outcome.status = f"detected:{type(exc).__name__}"
-                outcome.detail = str(exc)[:200]
-            except Exception as exc:
-                outcome.status = f"crash:{type(exc).__name__}"
-                outcome.detail = str(exc)[:200]
-            else:
-                outcome.chaos_exit = result.exit_code
-                outcome.migrations = result.migration_count
-                outcome.rollbacks = result.rollbacks
-                outcome.dropped = result.dropped_migrations
-                if result.result.reason != "halt":
-                    outcome.status = "nohalt"
-                elif result.exit_code != native:
-                    outcome.status = "divergence"
-                    outcome.detail = (f"native={native} "
-                                      f"chaos={result.exit_code}")
-            outcome.fault_counts = dict(injector.counts)
-            outcome.fault_digest = injector.log_digest()
-        finally:
-            if previous is None:
-                injection.uninstall()
-            else:
-                injection.install(previous)
-        outcomes.append(outcome)
+        outcomes.append(judge(f"wl-{name}", base, native, functools.partial(
+            run_under_hipstr, binary, seed=fault_seed,
+            migration_probability=0.5, stdin=stdin, phase_interval=2500,
+            max_instructions=max_instructions)))
     return outcomes
 
 

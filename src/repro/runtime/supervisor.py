@@ -287,8 +287,8 @@ def get_current_breaker() -> Optional[CircuitBreaker]:
 # ----------------------------------------------------------------------
 # Supervised worker pool
 # ----------------------------------------------------------------------
-def _supervised_worker(wid: int, tasks, conn,
-                       heartbeat_interval: float) -> None:
+def _supervised_worker(wid: int, tasks, conn, heartbeat_interval: float,
+                       parent_pid: int) -> None:
     """Worker main: heartbeat thread + task loop (module-level for fork).
 
     Messages on ``conn`` (this worker's private pipe):
@@ -302,6 +302,12 @@ def _supervised_worker(wid: int, tasks, conn,
     it somehow does not, the worker wakes up and runs the job anyway.
     A result that cannot be pickled comes home as that job's error; the
     worker stays up for the next job.
+
+    The heartbeat thread exits the whole process once ``parent_pid`` is
+    no longer its parent: an orphaned worker would otherwise wait on
+    ``tasks`` forever, because a forked worker inherits both ends of its
+    own task queue and result pipe, so it never sees EOF or a failed
+    send.
     """
     from .engine import _execute
     stop = threading.Event()
@@ -318,6 +324,8 @@ def _supervised_worker(wid: int, tasks, conn,
 
     def beat() -> None:
         while not stop.is_set():
+            if os.getppid() != parent_pid:     # the orchestrator died
+                os._exit(1)
             if not hung.is_set():
                 if not send(("heartbeat", wid, time.time())):
                     return
@@ -399,7 +407,8 @@ class SupervisedPool:
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_supervised_worker,
-            args=(wid, tasks, child_conn, self.heartbeat_interval),
+            args=(wid, tasks, child_conn, self.heartbeat_interval,
+                  os.getpid()),
             daemon=True)
         process.start()
         child_conn.close()                  # ours EOFs when the worker dies

@@ -52,6 +52,9 @@ _REQUEST_ID_RE = re.compile(r"^[A-Za-z0-9_.:-]{0,128}$")
 #: artifact kind for serve-layer result digests
 _RESULT_DIGEST_KIND = "serve-result"
 
+#: cap on the differential cases one chaos or transpile request runs
+MAX_CASES = 500
+
 
 @dataclass(frozen=True)
 class RequestSpec:
@@ -175,6 +178,40 @@ def _check_unknown(kind: str, params: Dict[str, Any],
             f"unknown {kind} param(s): {', '.join(sorted(unknown))}")
 
 
+def _check_int(kind: str, params: Dict[str, Any], name: str,
+               low: Optional[int] = None, high: Optional[int] = None) -> None:
+    """An optional integer param: an int (never a bool) within bounds."""
+    if name not in params:
+        return
+    value = params[name]
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or (low is not None and value < low) \
+            or (high is not None and value > high):
+        bounds = ("" if low is None else f" >= {low}" if high is None
+                  else f" in {low}..{high}")
+        raise ConfigError(f"{kind} {name!r} must be an integer{bounds}, "
+                          f"got {value!r}")
+
+
+def _check_verifier_selection(params: Dict[str, Any]) -> None:
+    """``rules`` and ``passes`` must be lists of catalog names."""
+    if "rules" not in params and "passes" not in params:
+        return
+    rules, passes = params.get("rules", []), params.get("passes", [])
+    for name, value in (("rules", rules), ("passes", passes)):
+        if not isinstance(value, list) \
+                or not all(isinstance(item, str) for item in value):
+            raise ConfigError(f"verify {name!r} must be a list of strings, "
+                              f"got {value!r}")
+    from ..staticcheck import PASSES_BY_NAME, resolve_rules
+    resolve_rules(rules)
+    unknown = [name for name in passes if name not in PASSES_BY_NAME]
+    if unknown:
+        raise ConfigError(
+            f"unknown verifier pass(es) {', '.join(unknown)}; available: "
+            f"{', '.join(PASSES_BY_NAME)}")
+
+
 #: experiments whose drivers are deterministic without a seed
 _UNSEEDED_EXPERIMENTS = ("fig6", "fig7")
 
@@ -200,9 +237,9 @@ def _validate_params(kind: str, params: Dict[str, Any]) -> None:
             raise ConfigError(
                 f"migration_probability must be in [0, 1], "
                 f"got {probability!r}")
-        if params.get("opt_level", 3) not in (0, 1, 2, 3):
-            raise ConfigError(
-                f"opt_level must be 0..3, got {params.get('opt_level')!r}")
+        _check_int(kind, params, "opt_level", 0, 3)
+        _check_int(kind, params, "seed")
+        _check_int(kind, params, "max_instructions", 1)
     elif kind == "experiment":
         _check_unknown(kind, params, ("name", "benchmarks", "seed"))
         name = params.get("name")
@@ -210,14 +247,9 @@ def _validate_params(kind: str, params: Dict[str, Any]) -> None:
             raise ConfigError(
                 f"unknown experiment {name!r}; available: "
                 f"{', '.join(sorted(EXPERIMENT_RUNNERS))}")
-        if "seed" in params:
-            if name in _UNSEEDED_EXPERIMENTS:
-                raise ConfigError(f"experiment {name!r} takes no 'seed'")
-            if isinstance(params["seed"], bool) \
-                    or not isinstance(params["seed"], int):
-                raise ConfigError(
-                    f"experiment 'seed' must be an integer, "
-                    f"got {params['seed']!r}")
+        if "seed" in params and name in _UNSEEDED_EXPERIMENTS:
+            raise ConfigError(f"experiment {name!r} takes no 'seed'")
+        _check_int(kind, params, "seed")
         benchmarks = params.get("benchmarks")
         if benchmarks is not None:
             if not isinstance(benchmarks, list) or not benchmarks:
@@ -229,6 +261,7 @@ def _validate_params(kind: str, params: Dict[str, Any]) -> None:
         _check_unknown(kind, params, ("workload", "workloads", "all",
                                       "rules", "passes"))
         _validate_targets(kind, params)
+        _check_verifier_selection(params)
     elif kind == "transpile":
         _check_unknown(kind, params, ("workload", "workloads", "all",
                                       "tiers", "surface", "fault_seed",
@@ -240,13 +273,13 @@ def _validate_params(kind: str, params: Dict[str, Any]) -> None:
             raise ConfigError(
                 f"transpile tiers must be a subset of "
                 f"['static', 'fuzz'], got {tiers!r}")
+        _check_int(kind, params, "fault_seed")
+        _check_int(kind, params, "fuzz", 0, MAX_CASES)
     elif kind == "chaos":
         _check_unknown(kind, params, ("fault_seed", "iterations",
                                       "rate_scale", "workloads"))
-        iterations = params.get("iterations", 5)
-        if not isinstance(iterations, int) or not 1 <= iterations <= 500:
-            raise ConfigError(
-                f"chaos iterations must be 1..500, got {iterations!r}")
+        _check_int(kind, params, "fault_seed")
+        _check_int(kind, params, "iterations", 1, MAX_CASES)
         rate_scale = params.get("rate_scale", 1.0)
         if not isinstance(rate_scale, (int, float)) or rate_scale < 0:
             raise ConfigError(
@@ -352,13 +385,13 @@ def _run_migrate(params: Dict[str, Any], engine) -> Dict[str, Any]:
         binary = compile_minic(params["source"])
         stdin = b""
     kwargs: Dict[str, Any] = {}
-    if params.get("max_instructions"):
-        kwargs["max_instructions"] = int(params["max_instructions"])
+    if "max_instructions" in params:
+        kwargs["max_instructions"] = params["max_instructions"]
     _system, result = run_under_hipstr(
-        binary, seed=int(params.get("seed", 0)), stdin=stdin,
+        binary, seed=params.get("seed", 0), stdin=stdin,
         migration_probability=float(
             params.get("migration_probability", 1.0)),
-        config=PSRConfig(opt_level=int(params.get("opt_level", 3))),
+        config=PSRConfig(opt_level=params.get("opt_level", 3)),
         **kwargs)
     return {
         "exit_code": result.exit_code,
@@ -378,23 +411,21 @@ def _run_verify(params: Dict[str, Any], engine) -> Dict[str, Any]:
     rules = params.get("rules") or None
     passes = params.get("passes") or None
     engine = engine or get_default_engine()
-    jobs = [Job(key=f"verify:{name}", fn=_verify_job,
+    jobs = [Job(key=f"verify:{name}", fn=verify_workload_job,
                 args=(name, rules, passes), workload=name)
             for name in targets]
     reports = dict(zip(targets, collect(engine.run(jobs))))
-    return {"ok": all(report["ok"] for report in reports.values()),
-            "targets": reports}
+    return {"ok": all(report.ok for report in reports.values()),
+            "targets": {name: report.as_dict()
+                        for name, report in reports.items()}}
 
 
-def _verify_job(name: str, rules, passes) -> Dict[str, Any]:
-    """Module-level so verify specs fan out across worker processes."""
+def verify_workload_job(name: str, rules, passes):
+    """Verify one workload; shared by CLI and serve paths (module-level
+    so verify fans out across worker processes)."""
     from ..staticcheck import run_verifier
     from ..workloads import compile_workload
-    report = run_verifier(compile_workload(name), rules=rules,
-                          passes=passes)
-    payload = report.as_dict()
-    payload["ok"] = report.ok
-    return payload
+    return run_verifier(compile_workload(name), rules=rules, passes=passes)
 
 
 def _run_transpile(params: Dict[str, Any], engine) -> Dict[str, Any]:
@@ -402,7 +433,7 @@ def _run_transpile(params: Dict[str, Any], engine) -> Dict[str, Any]:
     targets = _targets_of(params)
     tiers = tuple(params.get("tiers", ["static", "fuzz"]))
     surface = bool(params.get("surface", False))
-    fault_seed = int(params.get("fault_seed", 0))
+    fault_seed = params.get("fault_seed", 0)
     engine = engine or get_default_engine()
     jobs = [Job(key=f"transpile:{name}", fn=transpile_workload_job,
                 args=(name, tiers, surface, fault_seed), workload=name)
@@ -415,14 +446,8 @@ def _run_transpile(params: Dict[str, Any], engine) -> Dict[str, Any]:
     fuzz = params.get("fuzz")
     if fuzz:
         from ..transpile import fuzz_run
-        report = fuzz_run(fault_seed, int(fuzz), engine=engine)
-        payload["fuzz"] = {
-            "ok": report.ok,
-            "fault_seed": report.fault_seed,
-            "statuses": report.status_counts(),
-            "digest": report.digest(),
-            "failures": [o.to_dict() for o in report.failures],
-        }
+        report = fuzz_run(fault_seed, fuzz, engine=engine)
+        payload["fuzz"] = report.payload()
         payload["ok"] = payload["ok"] and report.ok
     return payload
 
@@ -470,24 +495,16 @@ def transpile_workload_job(name: str, tiers, surface: bool, seed: int):
 def _run_chaos(params: Dict[str, Any], engine) -> Dict[str, Any]:
     from ..faults.fuzz import ChaosReport, chaos_run, chaos_workloads
     from ..faults.plan import default_plan
-    fault_seed = int(params.get("fault_seed", 0))
+    fault_seed = params.get("fault_seed", 0)
     rate_scale = float(params.get("rate_scale", 1.0))
     if params.get("workloads"):
-        outcomes = chaos_workloads(fault_seed, rate_scale=rate_scale)
-        report = ChaosReport(fault_seed, len(outcomes), outcomes)
+        report = ChaosReport(fault_seed, chaos_workloads(
+            fault_seed, rate_scale=rate_scale))
     else:
         plan = default_plan(fault_seed, rate_scale=rate_scale)
-        report = chaos_run(fault_seed, int(params.get("iterations", 5)),
+        report = chaos_run(fault_seed, params.get("iterations", 5),
                            plan=plan, engine=engine)
-    return {
-        "ok": not report.failures,
-        "fault_seed": fault_seed,
-        "cases": len(report.outcomes),
-        "statuses": report.status_counts(),
-        "fault_counts": report.fault_counts(),
-        "digest": report.digest(),
-        "failures": [o.to_dict() for o in report.failures],
-    }
+    return report.payload()
 
 
 def _run_sleep(params: Dict[str, Any], engine) -> Dict[str, Any]:

@@ -22,14 +22,8 @@ Three verification tiers back the claim (see DESIGN.md):
 """
 
 from ..errors import TranspileError
-from .fuzzing import (
-    TranspileFuzzReport,
-    fuzz_run,
-    generate_cases,
-    load_corpus,
-    run_case,
-    save_corpus,
-)
+from ..faults.fuzz import load_corpus, save_corpus
+from .fuzzing import fuzz_run, generate_cases, run_case
 from .lifter import (
     REGISTER_MAP,
     LiftContext,
@@ -44,7 +38,6 @@ __all__ = [
     "REGISTER_MAP",
     "SurfaceRow",
     "TranspileError",
-    "TranspileFuzzReport",
     "TranspiledBinary",
     "fuzz_run",
     "gadget_surface",

@@ -10,68 +10,40 @@ randomly generated mini-C program,
   code, with faults injected — must match that exit code or fail with a
   typed error, exactly like the chaos invariant for compiled binaries.
 
-The harness deliberately reuses the chaos machinery (program generator,
-schedules, outcomes, per-case fault-plan derivation) so a transpile fuzz
-run is replayable from one ``--fault-seed`` and can be frozen into the
-regression corpus under ``tests/corpus/`` with the same JSON shape.
+This module is only the transpile track's case runner: generation, the
+faulted-run judge, the engine fan-out, the report and the corpus format
+are the chaos harness's (:mod:`repro.faults.fuzz`), so a transpile fuzz
+run is replayable from one ``--fault-seed`` and freezes into
+``tests/corpus/`` with the same JSON shape.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 from ..compiler import compile_minic
-from ..core.hipstr import run_under_hipstr
 from ..core.runner import run_native
-from ..errors import ReproError, TranspileError
-from ..faults import injection
+from ..errors import TranspileError
+from ..faults import fuzz as harness
 from ..faults.fuzz import (
-    CASE_MAX_INSTRUCTIONS,
-    CaseOutcome,
-    ChaosCase,
-    ChaosReport,
-    MigrationSchedule,
-    ProgramGenerator,
-    _outcome_of,
-    case_plan,
-    load_corpus,
-    save_corpus,
-)
+    CASE_MAX_INSTRUCTIONS, CaseOutcome, ChaosCase, ChaosReport)
 from ..faults.plan import FaultPlan, default_plan
 from .lifter import transpile_binary
 
-__all__ = [
-    "CaseOutcome", "ChaosCase", "TranspileFuzzReport", "fuzz_run",
-    "generate_cases", "load_corpus", "run_case", "save_corpus",
-]
-
 
 def generate_cases(fault_seed: int, count: int) -> List[ChaosCase]:
-    """The deterministic case list for one transpile fuzz run.
-
-    Distinct seed namespace from the chaos harness, so the two corpora
-    exercise different programs even at the same ``--fault-seed``.
-    """
-    cases = []
-    for index in range(count):
-        rng = random.Random(f"transpile-case:{fault_seed}:{index}")
-        source = ProgramGenerator(rng).generate()
-        schedule = MigrationSchedule.random(rng)
-        cases.append(ChaosCase(case_id=f"transpile-{fault_seed}-{index}",
-                               source=source, schedule=schedule))
-    return cases
+    """The deterministic case list for one transpile fuzz run."""
+    return harness.generate_cases(fault_seed, count, "transpile")
 
 
 def run_case(case: ChaosCase, base_plan: FaultPlan) -> CaseOutcome:
-    """Compile, transpile, then differential-test the lifted binary.
+    """Compile, transpile, then judge HIPStR on the lifted binary.
 
-    Status vocabulary extends the chaos harness's with two transpiler
-    failure modes, both counted as failures by :attr:`CaseOutcome.ok`:
-    ``lift-error`` (the lifter refused a decodable program) and
-    ``lift-divergence`` (clean native execution of the lifted section
-    disagrees with the original — the core property violated with no
-    faults involved at all).
+    Two transpiler failure modes settle a case before the judge runs,
+    both counted as failures by :attr:`CaseOutcome.ok`: ``lift-error``
+    (the lifter refused a decodable program) and ``lift-divergence``
+    (clean native execution of the lifted section disagrees with the
+    original — the core property violated with no faults involved).
     """
     binary = compile_minic(case.source)
     native = run_native(binary, "x86like",
@@ -88,82 +60,15 @@ def run_case(case: ChaosCase, base_plan: FaultPlan) -> CaseOutcome:
             case_id=case.case_id, status="lift-divergence",
             native_exit=native, chaos_exit=lifted,
             detail=f"x86like={native} lifted-armlike={lifted}")
-
-    plan = case_plan(base_plan, case.case_id)
-    previous = injection.get()
-    injector = injection.install(plan)
-    outcome = CaseOutcome(case_id=case.case_id, status="ok",
-                          native_exit=native)
-    try:
-        schedule = case.schedule
-        try:
-            _, result = run_under_hipstr(
-                transpiled, seed=schedule.seed,
-                migration_probability=schedule.migration_probability,
-                start_isa=schedule.start_isa,
-                phase_interval=schedule.phase_interval,
-                max_instructions=CASE_MAX_INSTRUCTIONS)
-        except ReproError as exc:
-            outcome.status = f"detected:{type(exc).__name__}"
-            outcome.detail = str(exc)[:200]
-        except Exception as exc:     # untyped escape = taxonomy hole
-            outcome.status = f"crash:{type(exc).__name__}"
-            outcome.detail = str(exc)[:200]
-        else:
-            outcome.chaos_exit = result.exit_code
-            outcome.migrations = result.migration_count
-            outcome.rollbacks = result.rollbacks
-            outcome.dropped = result.dropped_migrations
-            if result.result.reason != "halt":
-                outcome.status = "nohalt"
-                outcome.detail = result.result.reason
-            elif result.exit_code != native:
-                outcome.status = "divergence"
-                outcome.detail = (f"native={native} "
-                                  f"chaos={result.exit_code}")
-        outcome.fault_counts = dict(injector.counts)
-        outcome.fault_digest = injector.log_digest()
-    finally:
-        if previous is None:
-            injection.uninstall()
-        else:
-            injection.install(previous)
-    return outcome
-
-
-def _case_job(case_dict: Dict[str, Any], plan_spec: str) -> Dict[str, Any]:
-    """Module-level engine job: run one case (picklable by reference)."""
-    case = ChaosCase.from_dict(case_dict)
-    return run_case(case, FaultPlan.from_spec(plan_spec)).to_dict()
-
-
-class TranspileFuzzReport(ChaosReport):
-    """Aggregate of one transpile fuzz run (chaos-report semantics)."""
+    return harness.judge(case.case_id, base_plan, native,
+                         lambda: case.schedule.run(transpiled))
 
 
 def fuzz_run(fault_seed: int, iterations: int,
              plan: Optional[FaultPlan] = None,
-             engine=None,
-             cases: Optional[List[ChaosCase]] = None
-             ) -> TranspileFuzzReport:
-    """Run ``iterations`` differential cases, optionally fanned out.
-
-    ``cases`` overrides generation for corpus replay; each case installs
-    its own derived injector inside the case runner, so results are
-    identical serial or parallel.
-    """
-    base = plan if plan is not None \
-        else default_plan(fault_seed).with_seed(fault_seed)
-    if cases is None:
-        cases = generate_cases(fault_seed, iterations)
-    if engine is not None:
-        from ..runtime.engine import Job
-        jobs = [Job(key=case.case_id, fn=_case_job,
-                    args=(case.to_dict(), base.to_spec()),
-                    workload=case.case_id)
-                for case in cases]
-        outcomes = [_outcome_of(result) for result in engine.run(jobs)]
-    else:
-        outcomes = [run_case(case, base) for case in cases]
-    return TranspileFuzzReport(fault_seed=fault_seed, iterations=iterations,
-                               outcomes=outcomes)
+             engine=None) -> ChaosReport:
+    """Run ``iterations`` generated transpile-track cases."""
+    return harness.run_cases(
+        fault_seed, generate_cases(fault_seed, iterations),
+        plan if plan is not None else default_plan(fault_seed),
+        engine, run_case)

@@ -20,24 +20,22 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.faults import fuzz as chaos_fuzz
+from repro.faults import fuzz
 from repro.faults.plan import default_plan
 from repro.runtime.cache import configure_cache
-from repro.transpile import fuzzing as transpile_fuzz
+from repro.transpile import fuzzing
 
 FAULT_SEED = 7
 HERE = Path(__file__).parent
 
-#: track -> (corpus path, case count, generate_cases, run_case, comment)
+#: track -> (corpus path, case count, case runner, comment)
 TRACKS = {
     "chaos": (
-        HERE / "chaos-seed7.json", 10,
-        chaos_fuzz.generate_cases, chaos_fuzz.run_case,
+        HERE / "chaos-seed7.json", 10, fuzz.run_case,
         "Frozen chaos cases; regenerate with tests/corpus/regenerate.py "
         "after intentional behaviour changes."),
     "transpile": (
-        HERE / "transpile-seed7.json", 8,
-        transpile_fuzz.generate_cases, transpile_fuzz.run_case,
+        HERE / "transpile-seed7.json", 8, fuzzing.run_case,
         "Frozen transpile differential cases (x86like native vs lifted "
         "armlike under faults); regenerate with "
         "tests/corpus/regenerate.py after intentional lifter changes."),
@@ -45,12 +43,12 @@ TRACKS = {
 
 
 def freeze(track: str) -> bool:
-    corpus, count, generate_cases, run_case, comment = TRACKS[track]
-    cases = generate_cases(FAULT_SEED, count)
-    base = default_plan(FAULT_SEED).with_seed(FAULT_SEED)
+    corpus, count, runner, comment = TRACKS[track]
+    cases = fuzz.generate_cases(FAULT_SEED, count, track)
+    report = fuzz.run_cases(FAULT_SEED, cases, default_plan(FAULT_SEED),
+                            runner=runner)
     expected = {}
-    for case in cases:
-        outcome = run_case(case, base)
+    for case, outcome in zip(cases, report.outcomes):
         if not outcome.ok:
             print(f"REFUSING: {case.case_id} is {outcome.status} "
                   f"({outcome.detail})", file=sys.stderr)

@@ -3,7 +3,9 @@
 The invariant under test (the strongest the fault subsystem offers): a
 HIPStR run with faults injected either matches clean native execution
 bit-for-bit, or fails with a *typed* error — never silently diverges.
-Everything replays from one fault seed, serial or parallel.
+Everything replays from one fault seed, serial or parallel.  The
+harness properties are checked for both case runners: the chaos
+track's and the transpile track's.
 """
 
 import json
@@ -18,7 +20,9 @@ from repro.compiler import compile_minic
 from repro.core.runner import run_native
 from repro.faults import injection
 from repro.faults.fuzz import (
+    CaseOutcome,
     ChaosCase,
+    ChaosReport,
     MigrationSchedule,
     ProgramGenerator,
     case_plan,
@@ -26,13 +30,27 @@ from repro.faults.fuzz import (
     generate_cases,
     load_corpus,
     run_case,
+    run_cases,
     save_corpus,
 )
 from repro.faults.plan import default_plan
 from repro.runtime.engine import ExperimentEngine
+from repro.transpile import fuzzing
 from tests.helpers import assert_worker_determinism
 
 CORPUS = Path(__file__).parent / "corpus" / "chaos-seed7.json"
+
+#: (track, case runner, fault seed, case count) for the harness
+#: properties every track must hold
+TRACKS = [
+    pytest.param("chaos", run_case, 11, 6, id="chaos"),
+    pytest.param("transpile", fuzzing.run_case, 7, 4, id="transpile"),
+]
+
+
+def _track_run(track, runner, seed, count, engine=None):
+    cases = generate_cases(seed, count, track)
+    return run_cases(seed, cases, default_plan(seed), engine, runner)
 
 
 @pytest.fixture(autouse=True)
@@ -77,17 +95,30 @@ class TestProgramGenerator:
 
 
 # ----------------------------------------------------------------------
-# Harness determinism and serial/parallel equality
+# Harness determinism and serial/parallel equality, for both runners
 # ----------------------------------------------------------------------
-class TestChaosHarness:
-    def test_same_seed_same_report(self):
-        one = chaos_run(11, 6)
-        two = chaos_run(11, 6)
+@pytest.mark.parametrize("track, runner, seed, count", TRACKS)
+class TestCaseRunners:
+    def test_same_seed_same_report(self, track, runner, seed, count):
+        one = _track_run(track, runner, seed, count)
+        two = _track_run(track, runner, seed, count)
+        assert one.ok, [o.to_dict() for o in one.failures]
         assert one.digest() == two.digest()
         assert one.status_counts() == two.status_counts()
         assert one.fault_counts() == two.fault_counts()
-        assert one.ok
 
+    def test_serial_equals_parallel(self, track, runner, seed, count):
+        def run(workers):
+            engine = (ExperimentEngine(workers=workers, job_timeout=300.0)
+                      if workers > 1 else None)
+            report = _track_run(track, runner, seed, count, engine)
+            return {"digest": report.digest(),
+                    "outcomes": [o.to_dict() for o in report.outcomes]}
+
+        assert_worker_determinism(run, worker_counts=(1, 2))
+
+
+class TestChaosHarness:
     def test_different_seeds_differ(self):
         assert chaos_run(11, 6).digest() != chaos_run(12, 6).digest()
 
@@ -100,16 +131,6 @@ class TestChaosHarness:
         assert alone.fault_digest == in_batch.fault_digest
         assert alone.status == in_batch.status
         assert alone.chaos_exit == in_batch.chaos_exit
-
-    def test_serial_equals_parallel(self):
-        def run(workers):
-            engine = (ExperimentEngine(workers=workers, job_timeout=300.0)
-                      if workers > 1 else None)
-            report = chaos_run(11, 6, engine=engine)
-            return {"digest": report.digest(),
-                    "outcomes": [o.to_dict() for o in report.outcomes]}
-
-        assert_worker_determinism(run, worker_counts=(1, 2))
 
     def test_per_case_plans_are_distinct_but_derived(self):
         base = default_plan(7)
@@ -165,6 +186,50 @@ class TestCorpus:
         raw = json.loads(CORPUS.read_text())
         regenerated = generate_cases(raw["fault_seed"], len(raw["cases"]))
         assert [case.to_dict() for case in regenerated] == raw["cases"]
+
+    def test_cli_replay_is_journaled_resumable_and_parallel(
+            self, tmp_path, capsys):
+        """``chaos --corpus`` runs on the CLI's engine: every case is a
+        journaled job, a resume serves each from the journal store, and
+        two workers print the serial digest."""
+        from repro.cli import main
+        raw = json.loads(CORPUS.read_text())
+        expected = ChaosReport(raw["fault_seed"], [
+            CaseOutcome(case_id=case_id, status=entry["status"],
+                        fault_digest=entry["fault_digest"])
+            for case_id, entry in raw["expected"].items()]).digest()
+        argv = ["chaos", "--corpus", str(CORPUS),
+                "--fault-seed", str(raw["fault_seed"])]
+
+        def digest_line():
+            out = capsys.readouterr().out
+            lines = [line for line in out.splitlines()
+                     if line.startswith("fault-log digest:")]
+            assert len(lines) == 1, out
+            return lines[0].split(":", 1)[1].strip(), out
+
+        journal = tmp_path / "journal"
+        assert main([*argv, "--journal", str(journal),
+                     "--cache-dir", str(tmp_path / "cache-1")]) == 0
+        assert digest_line()[0] == expected
+        path, = journal.glob("*.journal.jsonl")
+        lines = path.read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert [r["key"] for r in records if r["type"] == "job_done"] \
+            == list(raw["expected"])
+
+        # the run died right after its last case landed: drop the
+        # run_finished record and resume
+        assert records[-1]["type"] == "run_finished"
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        assert main(["resume", "latest", "--journal", str(journal)]) == 0
+        digest, out = digest_line()
+        assert digest == expected
+        assert f"resumed={len(raw['expected'])} recomputed=0" in out
+
+        assert main([*argv, "--workers", "2",
+                     "--cache-dir", str(tmp_path / "cache-2")]) == 0
+        assert digest_line()[0] == expected
 
 
 # ----------------------------------------------------------------------

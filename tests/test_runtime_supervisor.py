@@ -2,7 +2,11 @@
 
 import json
 import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -379,3 +383,65 @@ class TestJournaledFaults:
         assert len(fault_records) == 1
         assert fault_records[0]["kind"] == "worker.hang"
         assert fault_records[0]["site"] == "engine.worker"
+
+
+# ---------------------------------------------------------------------
+# Orphaned workers: a SIGKILLed orchestrator must not leave them behind
+# ---------------------------------------------------------------------
+#: runs a pool on one long and one short job, records each worker's pid
+#: and start time once the short job is done, then SIGKILLs itself
+_ORPHANING_SCRIPT = r"""
+import multiprocessing, os, signal, sys, threading, time
+from repro.runtime.engine import Job
+from repro.runtime.supervisor import SupervisedPool
+
+def record_and_die():
+    time.sleep(1.5)
+    with open(sys.argv[1], "w") as handle:
+        for child in multiprocessing.active_children():
+            with open(f"/proc/{child.pid}/stat") as stat:
+                start_time = stat.read().rsplit(")", 1)[1].split()[19]
+            handle.write(f"{child.pid} {start_time}\n")
+    os.kill(os.getpid(), signal.SIGKILL)
+
+threading.Thread(target=record_and_die, daemon=True).start()
+SupervisedPool(workers=2).run([
+    (0, Job(key="long", fn=time.sleep, args=(60,))),
+    (1, Job(key="short", fn=time.sleep, args=(0.2,)))])
+"""
+
+
+def _live_worker(pid, start_time):
+    """True while ``pid`` is still that worker and not yet a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except FileNotFoundError:
+        return False
+    return fields[19] == start_time and fields[0] != "Z"
+
+
+class TestOrphanedWorkers:
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="needs /proc")
+    def test_workers_exit_when_the_orchestrator_is_killed(self, tmp_path):
+        record = tmp_path / "workers"
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", _ORPHANING_SCRIPT, str(record)],
+            env=env, timeout=60)
+        assert proc.returncode == -signal.SIGKILL
+        workers = [line.split() for line in record.read_text().splitlines()]
+        assert len(workers) == 2
+        try:
+            deadline = time.monotonic() + 5.0
+            while any(_live_worker(*w) for w in workers) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(_live_worker(*w) for w in workers), \
+                "pool workers outlived their SIGKILLed orchestrator"
+        finally:
+            for pid, start_time in workers:
+                if _live_worker(pid, start_time):
+                    os.kill(int(pid), signal.SIGKILL)

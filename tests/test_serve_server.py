@@ -23,8 +23,12 @@ def _core(tmp_path, **overrides) -> ServerCore:
 
 def _post(core: ServerCore, spec: RequestSpec, deadline=None):
     """Drive one request through admit + execute, like the front end."""
-    raw = json.dumps(spec.to_dict()).encode()
-    outcome = core.admit(raw, deadline)
+    return _post_raw(core, spec.to_dict(), deadline)
+
+
+def _post_raw(core: ServerCore, body: dict, deadline=None):
+    """:func:`_post` for a wire body that need not be a valid spec."""
+    outcome = core.admit(json.dumps(body).encode(), deadline)
     if outcome[0] == "reply":
         return outcome[1], outcome[2]
     return core.execute(outcome[1])
@@ -130,6 +134,25 @@ class TestAdmissionWiring:
             json.dumps(dict(bad, request_id="f-9")).encode(), None)
         assert outcome[0] == "reply" and outcome[1] == 429
         assert outcome[2]["error"]["type"] == "BreakerOpen"
+        core.shutdown()
+
+    def test_malformed_params_never_trip_the_breaker(self, tmp_path):
+        # a bad rule selector is the client's error: it must be refused
+        # at admission, not run and counted against the workload
+        core = _core(tmp_path, breaker_threshold=3)
+        statuses = [
+            _post_raw(core, {"schema": 1, "kind": "verify",
+                             "params": {"workload": "mcf",
+                                        "rules": ["HIP999"]},
+                             "tenant": "acme",
+                             "request_id": f"bad-{index}"})[0]
+            for index in range(3)]
+        assert statuses == [400, 400, 400]
+        status, body = _post(core, RequestSpec(
+            kind="verify", params={"workload": "mcf"}, tenant="acme",
+            request_id="good"))
+        assert status == 200, body
+        assert body["payload"]["ok"]
         core.shutdown()
 
 

@@ -64,6 +64,42 @@ class TestSpecValidation:
             RequestSpec(kind="experiment",
                         params={"name": "table2", "seed": "5"})
 
+    @pytest.mark.parametrize("kind, params", [
+        ("verify", {"workload": "mcf", "rules": ["HIP999"]}),
+        ("verify", {"workload": "mcf", "rules": "HIP101"}),
+        ("verify", {"workload": "mcf", "rules": [101]}),
+        ("verify", {"workload": "mcf", "passes": ["cfg", "nope"]}),
+        ("verify", {"workload": "mcf", "passes": "cfg"}),
+        ("migrate", {"workload": "mcf", "seed": "s"}),
+        ("migrate", {"workload": "mcf", "seed": True}),
+        ("migrate", {"workload": "mcf", "max_instructions": -5}),
+        ("migrate", {"workload": "mcf", "max_instructions": 0}),
+        ("migrate", {"workload": "mcf", "opt_level": True}),
+        ("chaos", {"fault_seed": "x"}),
+        ("chaos", {"fault_seed": False}),
+        ("chaos", {"iterations": True}),
+        ("transpile", {"workload": "mcf", "fault_seed": "x"}),
+        ("transpile", {"workload": "mcf", "fuzz": "many"}),
+        ("transpile", {"workload": "mcf", "fuzz": 501}),
+        ("transpile", {"workload": "mcf", "fuzz": -1}),
+    ])
+    def test_malformed_params_fail_at_admission(self, kind, params):
+        with pytest.raises(ConfigError):
+            RequestSpec(kind=kind, params=params)
+
+    def test_well_formed_params_are_admitted(self):
+        RequestSpec(kind="verify", params={
+            "workload": "mcf", "rules": ["HIP1", "undecodable-code"],
+            "passes": ["cfg", "dataflow"]})
+        RequestSpec(kind="verify", params={"all": True, "rules": []})
+        RequestSpec(kind="migrate", params={
+            "workload": "mcf", "seed": 3, "max_instructions": 1,
+            "opt_level": 0})
+        RequestSpec(kind="transpile", params={
+            "workload": "mcf", "fault_seed": 7, "fuzz": 500})
+        RequestSpec(kind="chaos", params={"fault_seed": 7,
+                                          "iterations": 500})
+
 
 class TestWireRoundTrip:
     def test_to_from_dict_is_lossless(self):

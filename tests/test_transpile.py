@@ -20,11 +20,9 @@ from repro.faults.fuzz import generate_cases as chaos_generate_cases
 from repro.faults.plan import default_plan
 from repro.isa import ISAS
 from repro.isa.base import Instruction, Op, Reg
-from repro.runtime.engine import ExperimentEngine
 from repro.staticcheck import run_verifier
 from repro.transpile import (
     TranspiledBinary,
-    fuzz_run,
     generate_cases,
     load_corpus,
     run_case,
@@ -198,16 +196,11 @@ class TestWorkloadsTranspile:
 
 
 # ---------------------------------------------------------------------
-# Differential fuzz harness: determinism and serial/parallel equality
+# Differential fuzz track (same-seed determinism and serial == parallel
+# are harness properties, checked for both tracks in
+# test_faults_differential.py)
 # ---------------------------------------------------------------------
 class TestTranspileFuzz:
-    def test_same_seed_same_report(self):
-        one = fuzz_run(7, 4)
-        two = fuzz_run(7, 4)
-        assert one.ok, [o.to_dict() for o in one.failures]
-        assert one.digest() == two.digest()
-        assert one.status_counts() == two.status_counts()
-
     def test_case_namespace_is_distinct_from_chaos(self):
         # same --fault-seed must exercise *different* programs than the
         # chaos harness, or the two corpora would be redundant
@@ -216,16 +209,6 @@ class TestTranspileFuzz:
         assert [c.case_id for c in ours] == \
             ["transpile-7-0", "transpile-7-1"]
         assert ours[0].source != chaos[0].source
-
-    def test_serial_equals_parallel(self):
-        def run(workers):
-            engine = (ExperimentEngine(workers=workers, job_timeout=300.0)
-                      if workers > 1 else None)
-            report = fuzz_run(7, 4, engine=engine)
-            return {"digest": report.digest(),
-                    "outcomes": [o.to_dict() for o in report.outcomes]}
-
-        assert_worker_determinism(run, worker_counts=(1, 2))
 
 
 # ---------------------------------------------------------------------
